@@ -236,10 +236,6 @@ double DenseTableauBackend::column_dot(const double* rho, Index j) const {
 
 void DenseTableauBackend::refactorize() {
   ++stats_.refactorizations;
-  // Gauss-Jordan on [B | I] touches ~m^3 multiply-adds regardless of
-  // sparsity — the cost the sparse backend's LU exists to avoid.
-  stats_.work_units +=
-      static_cast<std::int64_t>(m_) * m_ * m_;
   pivots_since_refactor_ = 0;
   const std::size_t mm = static_cast<std::size_t>(m_) * m_;
   work_b_.assign(mm, 0.0);
@@ -262,6 +258,8 @@ void DenseTableauBackend::refactorize() {
   // already-processed columns — so each repair makes strict progress and
   // at most m restarts terminate.  Repair is rare; correctness matters
   // more than the restart cost.
+  std::vector<Index> inv_nz;  // nonzero positions of B^{-1}'s pivot row
+  inv_nz.reserve(m_);
   for (int attempt = 0; attempt < 1 + m_; ++attempt) {
     std::fill(binv_.begin(), binv_.end(), 0.0);
     for (Index i = 0; i < m_; ++i) {
@@ -269,6 +267,7 @@ void DenseTableauBackend::refactorize() {
     }
     std::vector<double> lhs(work_b_);
     std::vector<Index> row_origin(m_);
+    std::int64_t work = 0;  // multiply-adds performed, for work_units
     for (Index i = 0; i < m_; ++i) row_origin[i] = i;
     bool repaired = false;
     for (Index col = 0; col < m_ && !repaired; ++col) {
@@ -325,38 +324,51 @@ void DenseTableauBackend::refactorize() {
         repaired = true;
         break;
       }
+      // Left-half columns before `col` are never read again, and column
+      // `col` only as the elimination factors, so the left-half sweeps
+      // below skip them.
       if (piv_row != col) {
-        // Swap rows in both halves.
         std::swap(row_origin[piv_row], row_origin[col]);
-        for (Index k = 0; k < m_; ++k) {
+        for (Index k = col; k < m_; ++k) {
           std::swap(lhs[static_cast<std::size_t>(piv_row) * m_ + k],
                     lhs[static_cast<std::size_t>(col) * m_ + k]);
+        }
+        for (Index k = 0; k < m_; ++k) {
           std::swap(binv_[static_cast<std::size_t>(piv_row) * m_ + k],
                     binv_[static_cast<std::size_t>(col) * m_ + k]);
         }
       }
-      // Normalize the pivot row.
+      // Normalize the pivot row.  The right half fills in gradually from
+      // the identity, so its exact zeros are skipped through an index
+      // list: a zero contributes nothing to any row it would update.
       const double piv = lhs[static_cast<std::size_t>(col) * m_ + col];
       const double inv_piv = 1.0 / piv;
       double* lhs_piv_row = lhs.data() + static_cast<std::size_t>(col) * m_;
       double* inv_piv_row = binv_.data() + static_cast<std::size_t>(col) * m_;
+      for (Index k = col + 1; k < m_; ++k) lhs_piv_row[k] *= inv_piv;
+      inv_nz.clear();
       for (Index k = 0; k < m_; ++k) {
-        lhs_piv_row[k] *= inv_piv;
+        if (inv_piv_row[k] == 0.0) continue;
         inv_piv_row[k] *= inv_piv;
+        inv_nz.push_back(k);
       }
       // Eliminate the column everywhere else.
+      std::int64_t rows_updated = 0;
       for (Index i = 0; i < m_; ++i) {
         if (i == col) continue;
         const double f = lhs[static_cast<std::size_t>(i) * m_ + col];
         if (f == 0.0) continue;
+        ++rows_updated;
         double* lhs_row = lhs.data() + static_cast<std::size_t>(i) * m_;
         double* inv_row = binv_.data() + static_cast<std::size_t>(i) * m_;
-        for (Index k = 0; k < m_; ++k) {
-          lhs_row[k] -= f * lhs_piv_row[k];
-          inv_row[k] -= f * inv_piv_row[k];
-        }
+        for (Index k = col + 1; k < m_; ++k) lhs_row[k] -= f * lhs_piv_row[k];
+        for (const Index k : inv_nz) inv_row[k] -= f * inv_piv_row[k];
       }
+      work += (rows_updated + 1) *
+              (static_cast<std::int64_t>(m_ - col - 1) +
+               static_cast<std::int64_t>(inv_nz.size()));
     }
+    stats_.work_units += work;
     if (!repaired) return;  // success
   }
   GMM_ASSERT(false, "refactorize: repeated basis repair did not converge");
