@@ -598,7 +598,11 @@ void Search::Worker::dive(std::shared_ptr<const NodeData> node,
     s_.push_open(node_bound, std::move(defer_data), std::move(defer_basis));
 
     engine_->set_column_bounds(branch_var, follow.lb, follow.ub);
-    engine_->refresh_basic_solution();
+    // A fractional column is basic, and a basic column's bounds do not
+    // enter x_B: only a nonbasic one needs the rebuild.
+    if (engine_->column_status(branch_var) != lp::VStat::kBasic) {
+      engine_->refresh_basic_solution();
+    }
 
     pending_var = branch_var;
     pending_up = up_first;

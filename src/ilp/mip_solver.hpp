@@ -5,12 +5,15 @@
 //
 //   * presolve once at the root (lp::presolve);
 //   * best-first node selection with PLUNGING: the popped node starts a
-//     depth-first dive that reuses the engine's warm basis, so only heap
-//     pops pay a refactorization;
+//     depth-first dive that reuses the engine's warm basis; a dive step
+//     changes only a basic column's bounds, so it rebuilds nothing;
 //   * a per-open-node BASIS CACHE (MipOptions::max_stored_bases): a
 //     pushed node carries a snapshot of its parent's optimal basis, and
 //     the pop restores it — so even a heap pop warm-starts one branching
-//     change away instead of from an unrelated subtree;
+//     change away instead of from an unrelated subtree.  The dense engine
+//     reaches a restored snapshot by a few column swaps from the basis it
+//     holds and refactorizes only when the snapshot is far away (see
+//     lp/simplex.hpp);
 //   * branching on pseudocosts with most-fractional initialization;
 //   * incumbents from integral LP relaxations, an optional user-supplied
 //     primal heuristic (the complete memory mapper injects its packing

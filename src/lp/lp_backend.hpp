@@ -78,8 +78,9 @@ struct SimplexStats {
 /// See SimplexEngine's original documentation for the entry contracts;
 /// they bind every implementation:
 ///   * construction leaves the engine on the all-logical basis;
-///   * set_column_bounds keeps nonbasic statuses dual feasible and must
-///     be followed by refresh_basic_solution() before solve();
+///   * set_column_bounds keeps nonbasic statuses dual feasible; see
+///     refresh_basic_solution() for when x_B must be rebuilt before
+///     solve();
 ///   * load_basis normalizes + repairs a snapshot to dual feasibility,
 ///     degrading to the cold logical basis when no cheap repair exists;
 ///   * solve() requires a dual-feasible basis and returns kOptimal with
@@ -98,6 +99,10 @@ class LpBackend {
   virtual void reset_to_logical_basis() = 0;
   virtual void load_basis(const Basis& basis) = 0;
   [[nodiscard]] virtual Basis snapshot_basis() const = 0;
+  /// Rebuild x_B from the working bounds.  Needed before solve() only
+  /// after a bound change on a NONBASIC column: a basic column's bounds
+  /// do not enter x_B (the branch-and-bound dive relies on this, since it
+  /// branches on fractional, hence basic, columns).
   virtual void refresh_basic_solution() = 0;
 
   // ---- solving -------------------------------------------------------

@@ -16,6 +16,10 @@ namespace {
 /// considered ties, and the largest |pivot| among them wins.
 constexpr double kHarrisSlack = 1e-7;
 
+/// Smallest |B^{-1} A_q| entry load_basis accepts as a swap pivot; below
+/// it the swap path hands over to refactorize().
+constexpr double kSwapPivotTol = 1e-7;
+
 bool is_nonbasic(VStat s) { return s != VStat::kBasic; }
 
 }  // namespace
@@ -113,7 +117,6 @@ void DenseTableauBackend::load_basis(const Basis& basis) {
   GMM_ASSERT(basis.basic_in_row.size() == static_cast<std::size_t>(m_) &&
                  basis.status.size() == static_cast<std::size_t>(n_),
              "basis snapshot does not match this standard form");
-  basis_ = basis.basic_in_row;
   stat_ = basis.status;
   // Normalize nonbasic statuses against the working bounds: keep the
   // snapshot's status whenever the bound it references still exists.
@@ -132,7 +135,10 @@ void DenseTableauBackend::load_basis(const Basis& basis) {
       }
     }
   }
-  refactorize();
+  if (!swap_to_basis(basis.basic_in_row)) {
+    basis_ = basis.basic_in_row;
+    refactorize();
+  }
   compute_duals();
   // Repair DUAL feasibility.  A snapshot taken on this engine's own
   // parent node is dual feasible by construction (bounds don't enter the
@@ -179,6 +185,57 @@ void DenseTableauBackend::load_basis(const Basis& basis) {
     }
   }
   refresh_basic_solution();
+}
+
+bool DenseTableauBackend::swap_to_basis(const std::vector<Index>& target) {
+  // Row of each target column; a repeated column is a singular basis,
+  // which only refactorize() can repair.
+  std::vector<Index> target_row(n_, kInvalidIndex);
+  for (Index i = 0; i < m_; ++i) {
+    Index& row = target_row[target[i]];
+    if (row != kInvalidIndex) return false;
+    row = i;
+  }
+  std::vector<Index> entering;
+  std::vector<char> is_basic(n_, 0);
+  for (const Index j : basis_) is_basic[j] = 1;
+  for (const Index j : target) {
+    if (is_basic[j] == 0) entering.push_back(j);
+  }
+  const auto k = static_cast<Index>(entering.size());
+  if (k > m_ / 4 || pivots_since_refactor_ + k > refactor_interval_) {
+    return false;
+  }
+  for (const Index q : entering) {
+    // Leave from the row with the largest |w_r| among rows whose column
+    // is not in the target set (ties: lowest row).
+    ftran(q, w_);
+    Index leave_row = -1;
+    double best = kSwapPivotTol;
+    for (Index r = 0; r < m_; ++r) {
+      if (target_row[basis_[r]] != kInvalidIndex) continue;
+      if (std::abs(w_[r]) > best) {
+        best = std::abs(w_[r]);
+        leave_row = r;
+      }
+    }
+    if (leave_row < 0) return false;
+    update_inverse(leave_row, w_[leave_row]);
+    basis_[leave_row] = q;
+    ++pivots_since_refactor_;
+    // Charged like a dual pivot's FTRAN + inverse update.
+    stats_.work_units += 2 * static_cast<std::int64_t>(m_) * m_;
+  }
+  // Same basic set; now reorder B^{-1}'s rows to the target's row order.
+  work_b_.resize(static_cast<std::size_t>(m_) * m_);
+  for (Index r = 0; r < m_; ++r) {
+    const Index dest = target_row[basis_[r]];
+    std::copy_n(binv_.data() + static_cast<std::size_t>(r) * m_, m_,
+                work_b_.data() + static_cast<std::size_t>(dest) * m_);
+  }
+  binv_.swap(work_b_);
+  basis_ = target;
+  return true;
 }
 
 Basis DenseTableauBackend::snapshot_basis() const { return Basis{basis_, stat_}; }
@@ -374,6 +431,21 @@ void DenseTableauBackend::refactorize() {
   GMM_ASSERT(false, "refactorize: repeated basis repair did not converge");
 }
 
+void DenseTableauBackend::update_inverse(Index r, double pivot) {
+  // Product-form update of the explicit inverse for column w_ entering
+  // at row r:  row_r /= pivot;   row_i -= w_i * row_r (i != r).
+  double* piv_row = binv_.data() + static_cast<std::size_t>(r) * m_;
+  const double inv_pivot = 1.0 / pivot;
+  for (Index k = 0; k < m_; ++k) piv_row[k] *= inv_pivot;
+  for (Index i = 0; i < m_; ++i) {
+    if (i == r) continue;
+    const double f = w_[i];
+    if (f == 0.0) continue;
+    double* row = binv_.data() + static_cast<std::size_t>(i) * m_;
+    for (Index k = 0; k < m_; ++k) row[k] -= f * piv_row[k];
+  }
+}
+
 void DenseTableauBackend::compute_duals() {
   // y = c_B^T B^{-1}, accumulated row-wise over basic columns with
   // nonzero cost; then d_j = c_j - y . A_j.
@@ -541,18 +613,7 @@ DenseTableauBackend::PivotResult DenseTableauBackend::dual_pivot() {
   }
   basis_[leave_row] = enter_col;
 
-  // Product-form update of the explicit inverse:
-  //   row_r /= alpha_q;   row_i -= w_i * row_r (i != r).
-  double* piv_row = binv_.data() + static_cast<std::size_t>(leave_row) * m_;
-  const double inv_alpha = 1.0 / alpha_q;
-  for (Index k = 0; k < m_; ++k) piv_row[k] *= inv_alpha;
-  for (Index i = 0; i < m_; ++i) {
-    if (i == leave_row) continue;
-    const double f = w_[i];
-    if (f == 0.0) continue;
-    double* row = binv_.data() + static_cast<std::size_t>(i) * m_;
-    for (Index k = 0; k < m_; ++k) row[k] -= f * piv_row[k];
-  }
+  update_inverse(leave_row, alpha_q);
 
   // Degeneracy bookkeeping: a zero dual step makes no progress on the
   // dual objective; long streaks can cycle, so switch to Bland's rules
@@ -580,6 +641,7 @@ DenseTableauBackend::PivotResult DenseTableauBackend::dual_pivot() {
 SolveStatus DenseTableauBackend::solve(const SimplexOptions& options) {
   support::WallTimer timer;
   stall_threshold_ = options.stall_threshold;
+  refactor_interval_ = options.refactor_interval;
   std::int64_t iterations_this_call = 0;
   int numerical_retries = 0;
   while (true) {

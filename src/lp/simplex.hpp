@@ -15,11 +15,24 @@
 // Numerical strategy: dense explicit B^{-1} (row-major) with product-form
 // row updates per pivot, periodic Gauss-Jordan refactorization with
 // partial pivoting and singular-basis repair, Harris-style two-pass dual
-// ratio test picking the largest eligible pivot magnitude.
+// ratio test picking the largest eligible pivot magnitude.  The
+// Gauss-Jordan pass skips already-eliminated columns and the exact zeros
+// of B^{-1}'s pivot rows, so it costs far less than m^3 on sparse bases.
 //
 // Complexity per pivot: O(m^2) for the inverse/x_B row updates plus
 // O(nnz(A)) for the pivot row — for the largest complete-formulation model
 // in this project (m ~ 2.5e3, nnz ~ 2e5) a few milliseconds.
+//
+// Warm loads: a branch-and-bound snapshot is usually a handful of basis
+// columns away from the basis the engine already holds, so load_basis
+// walks there by column swaps instead of refactorizing.  Each swap is an
+// FTRAN plus the same product-form update a pivot applies, O(m^2), and
+// counts against refactor_interval like a pivot; a final O(m^2) row
+// permutation puts B^{-1} in the snapshot's row order.  load_basis
+// refactorizes instead when the k differing columns exceed m/4 (where
+// k swaps stop being cheaper than one Gauss-Jordan pass), when the
+// swaps would cross refactor_interval, or when a swap finds no leaving
+// row with |pivot| above 1e-7.
 #pragma once
 
 #include <vector>
@@ -38,7 +51,8 @@ class DenseTableauBackend final : public LpBackend {
 
   // ---- bounds (branch & bound interface) ----------------------------
   /// Override the working bounds of a column.  Call refresh_basic_solution()
-  /// after a batch of changes and before solve().
+  /// after a batch of changes that touched a nonbasic column and before
+  /// solve(); a basic column's bounds do not enter x_B.
   void set_column_bounds(Index j, double lb, double ub) override;
   /// Restore all working bounds from the standard form.
   void reset_bounds() override;
@@ -51,8 +65,10 @@ class DenseTableauBackend final : public LpBackend {
   /// has a finite bound on the side its cost pushes toward.
   void reset_to_logical_basis() override;
   /// Restore a snapshot taken on the same standard form (asserts the
-  /// shapes match).  Nonbasic statuses are normalized against the current
-  /// working bounds, then repaired to DUAL feasibility: columns sitting on
+  /// shapes match), by column swaps from the held basis when few columns
+  /// differ and by refactorization otherwise (see the header comment).
+  /// Nonbasic statuses are normalized against the current working
+  /// bounds, then repaired to DUAL feasibility: columns sitting on
   /// the bound their reduced cost argues against are flipped to the other
   /// finite bound, and if any column admits no such repair (or the basis
   /// is singular beyond refactorize()'s row repair) the engine degrades to
@@ -81,6 +97,11 @@ class DenseTableauBackend final : public LpBackend {
     return stat_[j];
   }
   [[nodiscard]] const SimplexStats& stats() const override { return stats_; }
+  /// The explicit basis inverse, m x m row-major; row i belongs to the
+  /// column basic in row i.  Read by the factorization tests.
+  [[nodiscard]] const std::vector<double>& basis_inverse() const {
+    return binv_;
+  }
 
  private:
   // Dense pivot-row / FTRAN helpers.
@@ -88,6 +109,14 @@ class DenseTableauBackend final : public LpBackend {
   double column_dot(const double* rho, Index j) const;  // rho . A_j
 
   void refactorize();
+  /// Walk the basis to `target`'s basic set by column swaps on B^{-1},
+  /// then reorder its rows to `target`'s.  False (basis_ and B^{-1} left
+  /// consistent but not at `target`) when the swaps are too many or a
+  /// swap pivot is too small; the caller refactorizes instead.
+  bool swap_to_basis(const std::vector<Index>& target);
+  /// Product-form update of B^{-1} for the column FTRANed into w_
+  /// entering at row r with pivot element `pivot`.
+  void update_inverse(Index r, double pivot);
   void compute_duals();
   [[nodiscard]] double nonbasic_value(Index j) const;
 
@@ -112,6 +141,9 @@ class DenseTableauBackend final : public LpBackend {
   std::vector<double> work_b_;         // refactorization workspace
 
   int pivots_since_refactor_ = 0;
+  // SimplexOptions::refactor_interval of the latest solve(); load_basis
+  // counts its swaps against the same budget.
+  int refactor_interval_ = SimplexOptions{}.refactor_interval;
   std::uint32_t tie_rotation_ = 0;  // deterministic tie-break rotation
   // Anti-cycling: after a long streak of degenerate (zero dual step)
   // pivots, switch to Bland's smallest-index rules, which provably

@@ -187,6 +187,25 @@ TEST(Table3Determinism, SerialRunsAreBitwiseIdentical) {
       EXPECT_EQ(a.mip.x[j], b.mip.x[j]) << "column " << j << ", cap " << cap;
     }
   }
+  // Table-3 point 9 under a node budget: a long search whose warm heap
+  // pops mostly reach their snapshot by column swaps on the dense
+  // engine's inverse instead of a refactorization.  Swap loads keep the
+  // promise too.
+  const workload::Table3Instance big =
+      workload::build_instance(workload::table3_points()[8]);
+  const mapping::CostTable big_table(big.design, big.board);
+  mapping::GlobalOptions budget = exact_options(1);
+  budget.mip.node_limit = 2000;
+  const mapping::GlobalResult a =
+      mapping::map_global(big.design, big.board, big_table, budget);
+  const mapping::GlobalResult b =
+      mapping::map_global(big.design, big.board, big_table, budget);
+  EXPECT_GT(a.mip.basis.loaded, 100);
+  EXPECT_LT(a.mip.simplex_refactorizations, a.mip.basis.loaded / 2);
+  EXPECT_EQ(a.mip.nodes, b.mip.nodes);
+  EXPECT_EQ(a.mip.lp_iterations, b.mip.lp_iterations);
+  EXPECT_EQ(a.mip.simplex_refactorizations, b.mip.simplex_refactorizations);
+  EXPECT_EQ(a.mip.x, b.mip.x);
 }
 
 TEST(Table3Determinism, DefaultGapObjectivesAgreeWithinGap) {
