@@ -378,7 +378,7 @@ TEST(BasisRoundtripProperty, SwapLoadMatchesRefactorizedLoad) {
   EXPECT_GT(fallback_loads, 0);
 }
 
-TEST(BasisRoundtripProperty, SwapBelowPivotToleranceFallsBackToRefactorization) {
+TEST(BasisRoundtripProperty, TinySwapPivotFallsBackToRefactorization) {
   // The target brings in a twin of a column the held basis already has:
   // its FTRAN is a unit vector on the twin's row, zero on the only row
   // that may leave, so no swap pivot clears the tolerance.  load_basis
@@ -392,12 +392,8 @@ TEST(BasisRoundtripProperty, SwapBelowPivotToleranceFallsBackToRefactorization) 
     const Model model = random_boxed_lp(vars, rows, seed * 6007, true);
     const StandardForm sf = StandardForm::build(model);
     const Index twin = vars;
-    Index r0 = kInvalidIndex;  // a row where column 0 has a nonzero
-    for (std::size_t p = sf.col_start[0]; p < sf.col_start[1]; ++p) {
-      r0 = sf.row_index[p];
-      break;
-    }
-    if (r0 == kInvalidIndex || sf.num_rows < 2) continue;
+    if (sf.col_start[1] == sf.col_start[0]) continue;  // column 0 is empty
+    const Index r0 = sf.row_index[sf.col_start[0]];  // column 0 is nonzero
     const Index r1 = (r0 + 1) % sf.num_rows;
 
     SimplexEngine swapped(sf);
