@@ -219,7 +219,10 @@ int run_sweep() {
   // ---- dense-vs-sparse LP engine A/B (Table-3 point 6) ------------------
   // The paper's hardest global instance (62 segments, 65-bank board)
   // solved to gap 0 on both LP engines, 1 thread, identical options — so
-  // the ONLY difference is the engine behind lp::LpBackend.  The gate
+  // the ONLY difference is the engine behind lp::LpBackend.  Reliability
+  // branching proves it in a few nodes on either engine, so the arms
+  // time the root cut loop and the strong-branch probes more than the
+  // tree.  The gate
   // metric is work_units (machine-independent multiply-add proxy: the
   // dense tableau pays m^2 per pivot and m^3 per refactorization, the
   // revised simplex pays what its sparse vectors actually touch), and

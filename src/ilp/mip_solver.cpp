@@ -7,6 +7,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <queue>
 #include <thread>
 
@@ -70,13 +71,45 @@ struct BestFirstOrder {
   }
 };
 
-/// Per-variable pseudocost statistics for branching-variable selection.
+// Reliability branching constants.  Every cap counts pivots or
+// candidates, never time, so a 1-thread search stays deterministic.
+// A pseudocost is trusted once both directions have this many
+// observations; below it the candidate is strong-branched.
+constexpr int kReliableCount = 4;
+// Strong branching at a node stops after this many candidates in a row
+// fail to improve the best score.
+constexpr int kLookahead = 8;
+// Dual pivots per strong-branch side.  A capped dual solve still bounds
+// the side from below: the dual objective only rises.
+constexpr std::int64_t kProbePivots = 30;
+// Floor on each side's gain in the product score, so a zero-gain side
+// does not erase what the other side knows.
+constexpr double kMinGain = 1e-6;
+// Gain of a side whose LP is infeasible: that child is pruned at once.
+constexpr double kInfeasibleGain = 1e30;
+
+/// Per-variable pseudocost statistics for branching-variable selection:
+/// sums of objective gain per unit of bound change, per direction.
 /// Kept PER WORKER: sharing them would either race or serialize every
 /// node on a lock, and they only steer node ordering, never correctness.
 struct Pseudocost {
-  double up_sum = 0.0, down_sum = 0.0;
-  int up_count = 0, down_count = 0;
+  // Indexed by direction: [0] down, [1] up.
+  double sum[2] = {0.0, 0.0};
+  int count[2] = {0, 0};
+
+  [[nodiscard]] bool reliable() const {
+    return std::min(count[0], count[1]) >= kReliableCount;
+  }
+  void record(bool up, double unit_gain) {
+    sum[up ? 1 : 0] += unit_gain;
+    ++count[up ? 1 : 0];
+  }
 };
+
+/// Product score of a branching candidate from its two sides' gains.
+double product_score(double down_gain, double up_gain) {
+  return std::max(down_gain, kMinGain) * std::max(up_gain, kMinGain);
+}
 
 /// Branch-and-bound search shared across `num_threads` workers.
 ///
@@ -143,7 +176,26 @@ class Search {
     /// for the changed bounds) or just refresh on the engine's current
     /// basis (cold: an unrelated subtree's basis or the initial one).
     void apply_path(const NodeData* node, const lp::Basis* warm);
-    [[nodiscard]] Index pick_branch_var(const std::vector<double>& x) const;
+    /// Reliability branching: the fractional column to branch on at the
+    /// node whose LP optimum is `x` with objective `node_obj`
+    /// (kInvalidIndex when `x` is integral).  Strong-branches candidates
+    /// with unreliable pseudocosts; the engine is back on the node's
+    /// optimal basis and bounds on return.
+    [[nodiscard]] Index pick_branch_var(const std::vector<double>& x,
+                                        double node_obj);
+    /// One strong-branch side: round column `j` (at fractional `value`)
+    /// down or `up`, dual-solve for at most kProbePivots, then restore the
+    /// bounds and `node_basis`.  Returns the side's objective gain over
+    /// `node_obj`: a lower bound on the child's gain, kInfeasibleGain when
+    /// the child is infeasible.  A probe that solves to optimality feeds
+    /// the pseudocosts.
+    double probe_side(Index j, double value, bool up, double node_obj,
+                      const lp::Basis& node_basis);
+    /// Record one observed gain of branching column `j` by `distance`.
+    void record_pseudocost(Index j, bool up, double gain, double distance);
+    /// Mean unit gain of branching `j` in one direction; columns without
+    /// observations there borrow the mean over all columns (1 if none).
+    [[nodiscard]] double unit_pseudocost(Index j, bool up) const;
     void run_rounding_heuristic(const std::vector<double>& reduced_x);
     void run_user_heuristic(const std::vector<double>& reduced_x);
     /// Solve the engine's current LP; returns the simplex status.
@@ -156,6 +208,7 @@ class Search {
     Search& s_;
     std::unique_ptr<lp::LpBackend> engine_;  // private per-worker engine
     std::vector<Pseudocost> pcost_;  // indexed by reduced column
+    Pseudocost pcost_all_;           // every observation, any column
     std::int64_t lp_iterations_ = 0;
     // This worker's share of the cache counters: loaded/cold_pops and the
     // pivot split (stored/evicted live on the Search, under heap_mutex_).
@@ -173,6 +226,9 @@ class Search {
   /// the cancel token's deadline (kInf when neither is armed); clamps the
   /// per-LP time limits so a deadline interrupts even one long LP.
   [[nodiscard]] double remaining_seconds() const;
+  /// Simplex options for one LP of this search: the configured ones with
+  /// the time limit clamped to remaining_seconds().
+  [[nodiscard]] lp::SimplexOptions lp_options() const;
   /// Check time/node limits; may request a stop.  Cheap enough per node.
   bool limits_hit();
   /// Record a stop reason and wake every waiting worker.  Numerical
@@ -251,6 +307,15 @@ double Search::remaining_seconds() const {
     remaining = std::min(remaining, options_.cancel_token->seconds_remaining());
   }
   return remaining;
+}
+
+lp::SimplexOptions Search::lp_options() const {
+  lp::SimplexOptions simplex = options_.simplex;
+  const double remaining = remaining_seconds();
+  if (remaining < kInf) {
+    simplex.time_limit_seconds = std::max(0.0, remaining);
+  }
+  return simplex;
 }
 
 bool Search::limits_hit() {
@@ -396,37 +461,123 @@ void Search::Worker::apply_path(const NodeData* node, const lp::Basis* warm) {
   }
 }
 
-Index Search::Worker::pick_branch_var(const std::vector<double>& x) const {
-  // Two tiers: fractional variables that CARRY OBJECTIVE are branched
-  // before zero-cost ones.  Zero-cost integers (e.g. the symmetric
-  // placement counts of the complete memory-mapping formulation) cannot
-  // move the bound, so resolving the cost-bearing decisions first lets
-  // the primal heuristics close the remaining feasibility plateau.
-  // Within a tier: pseudocost score with most-fractional fallback,
-  // score = (1-mu)*min(up,down) + mu*max(up,down).
-  constexpr double kMu = 1.0 / 6.0;
-  Index best = lp::kInvalidIndex;
-  double best_score = -1.0;
-  bool best_has_cost = false;
+void Search::Worker::record_pseudocost(Index j, bool up, double gain,
+                                       double distance) {
+  const double unit_gain = gain / std::max(kIntTol, distance);
+  pcost_[j].record(up, unit_gain);
+  pcost_all_.record(up, unit_gain);
+}
+
+double Search::Worker::unit_pseudocost(Index j, bool up) const {
+  const int side = up ? 1 : 0;
+  for (const Pseudocost* pc : {&pcost_[j], &pcost_all_}) {
+    if (pc->count[side] > 0) return pc->sum[side] / pc->count[side];
+  }
+  return 1.0;
+}
+
+double Search::Worker::probe_side(Index j, double value, bool up,
+                                  double node_obj,
+                                  const lp::Basis& node_basis) {
+  const double node_lb = engine_->column_lb(j);
+  const double node_ub = engine_->column_ub(j);
+  const double floor_v = std::floor(value);
+  const double frac = value - floor_v;
+  if (up) {
+    engine_->set_column_bounds(j, floor_v + 1.0, node_ub);
+  } else {
+    engine_->set_column_bounds(j, node_lb, floor_v);
+  }
+  if (engine_->column_status(j) != lp::VStat::kBasic) {
+    engine_->refresh_basic_solution();
+  }
+  lp::SimplexOptions simplex = s_.lp_options();
+  simplex.iteration_limit = std::min(simplex.iteration_limit, kProbePivots);
+  if (s_.options_.progress) {
+    s_.options_.progress->fetch_add(1, std::memory_order_relaxed);
+  }
+  const std::int64_t before = engine_->stats().iterations;
+  const SolveStatus status = engine_->solve(simplex);
+  lp_iterations_ += engine_->stats().iterations - before;
+  double gain = 0.0;  // a failed probe says nothing
+  if (status == SolveStatus::kInfeasible) {
+    gain = kInfeasibleGain;
+  } else if (status == SolveStatus::kOptimal ||
+             status == SolveStatus::kIterationLimit) {
+    gain = std::max(
+        0.0, engine_->objective_value() + s_.pre_.objective_offset - node_obj);
+  }
+  // A capped probe's gain is only a lower bound: it must not bias the
+  // pseudocosts.
+  if (status == SolveStatus::kOptimal) {
+    record_pseudocost(j, up, gain, up ? 1.0 - frac : frac);
+  }
+  engine_->set_column_bounds(j, node_lb, node_ub);
+  engine_->load_basis(node_basis);
+  return gain;
+}
+
+Index Search::Worker::pick_branch_var(const std::vector<double>& x,
+                                      double node_obj) {
+  // Candidates are the fractional integer columns.  Those that CARRY
+  // OBJECTIVE are branched before zero-cost ones: zero-cost integers
+  // (e.g. the symmetric placement counts of the complete memory-mapping
+  // formulation) cannot move the bound, so resolving the cost-bearing
+  // decisions first lets the primal heuristics close the remaining
+  // feasibility plateau.
+  struct Candidate {
+    Index j;
+    double score;  // pseudocost product score
+  };
+  std::vector<Candidate> candidates;
+  bool cost_tier = false;
   for (const Index j : s_.int_cols_) {
     const double frac = x[j] - std::floor(x[j]);
     if (frac < kIntTol || frac > 1.0 - kIntTol) continue;
     const bool has_cost = s_.reduced_->obj(j) != 0.0;
-    if (best_has_cost && !has_cost) continue;
-    const Pseudocost& pc = pcost_[j];
-    double score;
-    if (pc.up_count > 0 && pc.down_count > 0) {
-      const double up = pc.up_sum / pc.up_count * (1.0 - frac);
-      const double down = pc.down_sum / pc.down_count * frac;
-      score = (1.0 - kMu) * std::min(up, down) + kMu * std::max(up, down);
-    } else {
-      // Fractionality: 0.5 is the most undecided and scores highest.
-      score = 0.5 - std::abs(frac - 0.5);
+    if (cost_tier && !has_cost) continue;
+    if (has_cost && !cost_tier) {
+      candidates.clear();
+      cost_tier = true;
     }
-    if ((has_cost && !best_has_cost) || score > best_score) {
+    candidates.push_back(
+        {j, product_score(unit_pseudocost(j, false) * frac,
+                          unit_pseudocost(j, true) * (1.0 - frac))});
+  }
+  if (candidates.empty()) return lp::kInvalidIndex;
+  std::stable_sort(candidates.begin(), candidates.end(),
+                   [](const Candidate& a, const Candidate& b) {
+                     return a.score > b.score;
+                   });
+
+  // Reliability branching (Achterberg, Koch & Martin, "Branching rules
+  // revisited", 2005): walk the candidates in pseudocost order, trusting
+  // the pseudocost score of a reliable candidate and strong-branching an
+  // unreliable one, until kLookahead candidates in a row do not improve.
+  Index best = candidates.front().j;
+  double best_score = -1.0;
+  int since_improved = 0;
+  std::optional<lp::Basis> node_basis;
+  for (const Candidate& c : candidates) {
+    double score = c.score;
+    if (!pcost_[c.j].reliable()) {
+      // Limits are checked between candidates, so a cancel or deadline
+      // interrupts a long strong-branching round (a probe cut short by
+      // the deadline scores no gain and trips this check next).
+      if (s_.limits_hit()) break;
+      if (!node_basis) node_basis = engine_->snapshot_basis();
+      const double down_gain =
+          probe_side(c.j, x[c.j], false, node_obj, *node_basis);
+      const double up_gain =
+          probe_side(c.j, x[c.j], true, node_obj, *node_basis);
+      score = product_score(down_gain, up_gain);
+    }
+    if (score > best_score) {
+      best = c.j;
       best_score = score;
-      best = j;
-      best_has_cost = has_cost;
+      since_improved = 0;
+    } else if (++since_improved >= kLookahead) {
+      break;
     }
   }
   return best;
@@ -449,11 +600,7 @@ void Search::Worker::run_user_heuristic(const std::vector<double>& reduced_x) {
 }
 
 SolveStatus Search::Worker::solve_node_lp() {
-  lp::SimplexOptions simplex = s_.options_.simplex;
-  const double remaining = s_.remaining_seconds();
-  if (remaining < kInf) {
-    simplex.time_limit_seconds = std::max(0.0, remaining);
-  }
+  const lp::SimplexOptions simplex = s_.lp_options();
   const std::int64_t before = engine_->stats().iterations;
   SolveStatus status = engine_->solve(simplex);
   if (status == SolveStatus::kNumericalFailure ||
@@ -527,23 +674,16 @@ void Search::Worker::dive(std::shared_ptr<const NodeData> node,
         engine_->objective_value() + s_.pre_.objective_offset;
 
     if (pending_var != lp::kInvalidIndex) {
-      const double degradation =
-          std::max(0.0, node_bound - pending_parent_obj);
-      Pseudocost& pc = pcost_[pending_var];
-      if (pending_up) {
-        pc.up_sum += degradation / std::max(kIntTol, 1.0 - pending_frac);
-        ++pc.up_count;
-      } else {
-        pc.down_sum += degradation / std::max(kIntTol, pending_frac);
-        ++pc.down_count;
-      }
+      record_pseudocost(pending_var, pending_up,
+                        std::max(0.0, node_bound - pending_parent_obj),
+                        pending_up ? 1.0 - pending_frac : pending_frac);
       pending_var = lp::kInvalidIndex;
     }
 
     if (node_bound >= s_.prune_threshold()) return;  // bound-pruned
 
     const std::vector<double> x = engine_->structural_solution();
-    const Index branch_var = pick_branch_var(x);
+    const Index branch_var = pick_branch_var(x, node_bound);
     if (branch_var == lp::kInvalidIndex) {
       // Integral: candidate incumbent.
       s_.offer_incumbent_reduced(x);
@@ -780,13 +920,8 @@ MipResult Search::run() {
       if (options_.progress) {
         options_.progress->fetch_add(1, std::memory_order_relaxed);
       }
-      lp::SimplexOptions simplex = options_.simplex;
-      const double remaining = remaining_seconds();
-      if (remaining < kInf) {
-        simplex.time_limit_seconds = std::max(0.0, remaining);
-      }
       const std::int64_t before = root_engine->stats().iterations;
-      const SolveStatus root_status = root_engine->solve(simplex);
+      const SolveStatus root_status = root_engine->solve(lp_options());
       result_.lp_iterations += root_engine->stats().iterations - before;
       if (root_status != SolveStatus::kOptimal) break;
       bool model_changed = false;

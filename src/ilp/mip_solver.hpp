@@ -14,7 +14,11 @@
 //     reaches a restored snapshot by a few column swaps from the basis it
 //     holds and refactorizes only when the snapshot is far away (see
 //     lp/simplex.hpp);
-//   * branching on pseudocosts with most-fractional initialization;
+//   * reliability branching: fractional candidates ordered by their
+//     pseudocost product score, those with unreliable pseudocosts
+//     strong-branched by pivot-capped dual probes, each followed by a
+//     load_basis back to the node's basis (column swaps on the dense
+//     engine);
 //   * incumbents from integral LP relaxations, an optional user-supplied
 //     primal heuristic (the complete memory mapper injects its packing
 //     repair here), and the dive itself;

@@ -4,7 +4,9 @@
 // parallel), and a stopped solve must still report sound bounds.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <cmath>
 #include <memory>
 #include <thread>
 
@@ -93,6 +95,58 @@ TEST(MipCancel, UntouchedTokenDoesNotPerturbTheSolve) {
   EXPECT_EQ(a.objective, b.objective);
   EXPECT_EQ(a.nodes, b.nodes);
   EXPECT_EQ(b.stop_reason, SolveStatus::kOptimal);
+}
+
+TEST(MipCancel, CancelDuringRootStrongBranchingStopsWithinOneCandidate) {
+  // A packing MIP whose root LP is fractional in many columns, none with
+  // a reliable pseudocost yet, so the root strong-branches candidate
+  // after candidate.  Limits are polled between candidates: once the
+  // cancel lands, at most the candidate in flight finishes its two probe
+  // LPs.  (Left alone, the search runs for more than a minute.)
+  support::Rng rng(7);
+  Model m;
+  std::vector<Index> vars;
+  for (int j = 0; j < 200; ++j) {
+    vars.push_back(m.add_variable(
+        0, 10, static_cast<double>(rng.uniform_int(-10, -1)),
+        lp::VarType::kInteger));
+  }
+  for (int i = 0; i < 100; ++i) {
+    LinExpr row;
+    double box_max = 0;
+    for (const Index j : vars) {
+      if (!rng.bernoulli(0.2)) continue;
+      const double a = static_cast<double>(rng.uniform_int(1, 9));
+      row.add(j, a);
+      box_max += 10 * a;
+    }
+    m.add_constraint(row, Sense::kLessEqual, std::floor(box_max / 3));
+  }
+
+  auto token = std::make_shared<support::CancelToken>();
+  auto progress = std::make_shared<std::atomic<std::int64_t>>(0);
+  MipOptions options;
+  options.cancel_token = token;
+  options.progress = progress;
+  options.max_cut_rounds = 0;  // progress: 1 = the root node, 2 = its
+                               // first strong-branch probe LP
+  std::atomic<bool> returned{false};
+  std::int64_t at_cancel = 0;
+  std::thread canceller([&] {
+    while (progress->load() < 2) {
+      if (returned.load()) return;
+      std::this_thread::yield();
+    }
+    token->cancel();
+    at_cancel = progress->load();
+  });
+  const MipResult r = solve_mip(m, options);
+  returned.store(true);
+  canceller.join();
+
+  ASSERT_GE(at_cancel, 2) << "the root ran no strong-branch probe";
+  EXPECT_EQ(r.stop_reason, SolveStatus::kCancelled);
+  EXPECT_LE(progress->load() - at_cancel, 2);
 }
 
 class MipCancelMidSolve : public ::testing::TestWithParam<int> {};

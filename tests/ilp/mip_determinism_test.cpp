@@ -20,10 +20,13 @@
 // repeated 1-thread runs — in SerialRunsAreBitwiseIdentical.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
+#include "ilp/mip_solver.hpp"
 #include "mapping/cost_model.hpp"
 #include "mapping/global_mapper.hpp"
+#include "support/rng.hpp"
 #include "workload/table3_suite.hpp"
 
 namespace gmm::ilp {
@@ -41,8 +44,8 @@ mapping::GlobalOptions exact_options(int threads,
   options.mip.rel_gap = 0.0;
   // 0.5 is EXACT for the integer-valued mapping objectives (any strictly
   // better incumbent improves by >= 1, so nothing optimal is ever
-  // pruned), while a literal 0.0 makes the search enumerate the whole
-  // co-optimal plateau — Table-3 point 6 takes minutes that way.
+  // pruned), while a literal 0.0 would make the search enumerate the
+  // whole co-optimal plateau.
   options.mip.abs_gap = 0.5;
   return options;
 }
@@ -140,18 +143,34 @@ TEST_P(Table3Determinism, IdenticalObjectivesAcrossBackendsAndThreads) {
   }
 }
 
-// Every Table-3 experiment point that solves at test-tier speed
-// (milliseconds to ~300 ms per thread count).  Index 5 — the paper's
-// point 6, 62 segments on the 65-bank board — is excluded: its LP
-// relaxation sits a few units below the integer optimum over a deeply
-// symmetric space, so any proof (exact or default-gap) takes tens of
-// seconds per solve; it was also the paper's slowest global instance
-// relative to size.  That holds even on the sparse revised simplex (it
-// cuts arithmetic ~10x but the tree is millions of nodes either way),
-// so it stays out of the unit tier: bench_03 sweeps all nine points,
-// and bench_09's LP-engine A/B solves point 6 to proof on both engines.
+// Every Table-3 experiment point; each proves at exact gap in tens of
+// nodes at most, milliseconds per thread count.
 INSTANTIATE_TEST_SUITE_P(TractablePoints, Table3Determinism,
-                         ::testing::Values(0, 1, 2, 3, 4, 6, 7, 8));
+                         ::testing::Values(0, 1, 2, 3, 4, 5, 6, 7, 8));
+
+/// Random 0/1 multi-knapsack (60 items, 30 rows, each row's capacity
+/// half its total weight): a search of about 1,300 nodes whose heap pops
+/// carry warm bases, unlike the Table-3 points that now prove in a few.
+lp::Model multi_knapsack(std::uint64_t seed) {
+  support::Rng rng(seed);
+  lp::Model model;
+  std::vector<lp::Index> items;
+  for (int j = 0; j < 60; ++j) {
+    items.push_back(
+        model.add_binary(-static_cast<double>(rng.uniform_int(10, 60))));
+  }
+  for (int i = 0; i < 30; ++i) {
+    lp::LinExpr row;
+    double total = 0;
+    for (const lp::Index j : items) {
+      const double w = static_cast<double>(rng.uniform_int(5, 40));
+      row.add(j, w);
+      total += w;
+    }
+    model.add_constraint(row, lp::Sense::kLessEqual, std::floor(total / 2));
+  }
+  return model;
+}
 
 TEST(Table3Determinism, SerialRunsAreBitwiseIdentical) {
   // Where full determinism IS promised — 1 thread — two runs must agree
@@ -187,25 +206,21 @@ TEST(Table3Determinism, SerialRunsAreBitwiseIdentical) {
       EXPECT_EQ(a.mip.x[j], b.mip.x[j]) << "column " << j << ", cap " << cap;
     }
   }
-  // Table-3 point 9 under a node budget: a long search whose warm heap
-  // pops mostly reach their snapshot by column swaps on the dense
-  // engine's inverse instead of a refactorization.  Swap loads keep the
-  // promise too.
-  const workload::Table3Instance big =
-      workload::build_instance(workload::table3_points()[8]);
-  const mapping::CostTable big_table(big.design, big.board);
-  mapping::GlobalOptions budget = exact_options(1);
-  budget.mip.node_limit = 2000;
-  const mapping::GlobalResult a =
-      mapping::map_global(big.design, big.board, big_table, budget);
-  const mapping::GlobalResult b =
-      mapping::map_global(big.design, big.board, big_table, budget);
-  EXPECT_GT(a.mip.basis.loaded, 100);
-  EXPECT_LT(a.mip.simplex_refactorizations, a.mip.basis.loaded / 2);
-  EXPECT_EQ(a.mip.nodes, b.mip.nodes);
-  EXPECT_EQ(a.mip.lp_iterations, b.mip.lp_iterations);
-  EXPECT_EQ(a.mip.simplex_refactorizations, b.mip.simplex_refactorizations);
-  EXPECT_EQ(a.mip.x, b.mip.x);
+  // A long search whose warm heap pops, and whose strong-branch probes
+  // returning to their node's basis, mostly reach their snapshot by
+  // column swaps on the dense engine's inverse instead of a
+  // refactorization.  Swap loads keep the promise too.
+  const lp::Model knapsack = multi_knapsack(1);
+  ilp::MipOptions budget = exact_options(1).mip;
+  budget.node_limit = 2000;
+  const ilp::MipResult a = ilp::solve_mip(knapsack, budget);
+  const ilp::MipResult b = ilp::solve_mip(knapsack, budget);
+  EXPECT_GT(a.basis.loaded, 100);
+  EXPECT_LT(a.simplex_refactorizations, a.basis.loaded / 2);
+  EXPECT_EQ(a.nodes, b.nodes);
+  EXPECT_EQ(a.lp_iterations, b.lp_iterations);
+  EXPECT_EQ(a.simplex_refactorizations, b.simplex_refactorizations);
+  EXPECT_EQ(a.x, b.x);
 }
 
 TEST(Table3Determinism, DefaultGapObjectivesAgreeWithinGap) {
