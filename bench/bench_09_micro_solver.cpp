@@ -172,7 +172,6 @@ int run_sweep() {
     ilp::MipOptions options;
     options.num_threads = threads;
     options.rel_gap = 0.0;
-    options.max_cut_rounds = 0;  // keep the tree deep on purpose
     support::WallTimer timer;
     const ilp::MipResult r = ilp::solve_mip(model, options);
     return bench::SweepOutcome{.seconds = timer.seconds(),
@@ -221,12 +220,12 @@ int run_sweep() {
   // solved to gap 0 on both LP engines, 1 thread, identical options — so
   // the ONLY difference is the engine behind lp::LpBackend.  Reliability
   // branching proves it in a few nodes on either engine, so the arms
-  // time the root cut loop and the strong-branch probes more than the
-  // tree.  The gate
-  // metric is work_units (machine-independent multiply-add proxy: the
-  // dense tableau pays m^2 per pivot and m^3 per refactorization, the
-  // revised simplex pays what its sparse vectors actually touch), and
-  // the arms MUST prove the same objective — a mismatch fails the bench.
+  // time the root LP and the strong-branch probes more than the tree.
+  // The gate metric is work_units (machine-independent multiply-add
+  // proxy: the dense tableau pays m^2 per pivot and m^3 per
+  // refactorization, the revised simplex pays what its sparse vectors
+  // actually touch), and the arms MUST prove the same objective — a
+  // mismatch fails the bench.
   const std::size_t engine_point = 5;  // paper point 6
   const workload::Table3Instance hard_instance =
       workload::build_instance(points[engine_point], bench::env_seed());
@@ -272,8 +271,6 @@ int run_sweep() {
                 bench::jint("refactorizations",
                             r.mip.simplex_refactorizations),
                 bench::jint("work_units", r.mip.lp_work_units),
-                bench::jint("cover_cuts", r.mip.cover_cuts),
-                bench::jint("clique_cuts", r.mip.clique_cuts),
                 bench::jnum("objective",
                             r.mip.has_incumbent() ? r.mip.objective : -1.0),
                 bench::jstr("status", lp::to_string(r.status))});

@@ -5,10 +5,6 @@
 // Options:
 //   --complete     solve the flat (complete) formulation instead of the
 //                  global/detailed pipeline (single-design mode only)
-//   --portfolio    race several solver configurations concurrently and
-//                  return the first lane to prove (single-design mode
-//                  only); prints the per-lane race table
-//   --lanes N      portfolio lane count, 1..6 (default 3)
 //   --devices N    split a single-device board round-robin across N
 //                  identical FPGAs and map with the sharded mapper
 //                  (single-design mode only); boards whose files already
@@ -47,7 +43,6 @@
 #include "mapping/batch_mapper.hpp"
 #include "mapping/complete_mapper.hpp"
 #include "mapping/pipeline.hpp"
-#include "mapping/portfolio.hpp"
 #include "mapping/shard_mapper.hpp"
 #include "mapping/validate.hpp"
 #include "report/placement_report.hpp"
@@ -60,8 +55,8 @@ namespace {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <board-file> <design-file>... [--complete] "
-               "[--portfolio] [--lanes N] [--devices N] [--csv] [--map] "
-               "[--threads N] [--lp-engine dense|sparse] [--jobs N]\n",
+               "[--devices N] [--csv] [--map] [--threads N] "
+               "[--lp-engine dense|sparse] [--jobs N]\n",
                argv0);
   return 2;
 }
@@ -161,8 +156,6 @@ int report_single(const gmm::arch::Board& board,
 int main(int argc, char** argv) {
   using namespace gmm;
   bool use_complete = false;
-  bool use_portfolio = false;
-  int lanes = 3;
   bool csv = false;
   bool memory_map = false;
   int threads = 1;
@@ -174,13 +167,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--complete") == 0) {
       use_complete = true;
-    } else if (std::strcmp(argv[i], "--portfolio") == 0) {
-      use_portfolio = true;
-    } else if (std::strcmp(argv[i], "--lanes") == 0 && i + 1 < argc) {
-      if (!parse_count(argv[++i], lanes) || lanes < 1 ||
-          lanes > mapping::kMaxPortfolioLanes) {
-        return usage(argv[0]);
-      }
     } else if (std::strcmp(argv[i], "--devices") == 0 && i + 1 < argc) {
       if (!parse_count(argv[++i], devices) || devices < 1) {
         return usage(argv[0]);
@@ -251,47 +237,6 @@ int main(int argc, char** argv) {
   // ---- single-design mode ----------------------------------------------
   if (designs.size() == 1 && !jobs_given) {
     const design::Design& design = designs[0].design;
-    if (use_portfolio) {
-      if (use_complete) {
-        std::fprintf(stderr,
-                     "--portfolio and --complete are exclusive (the "
-                     "portfolio menu already includes a complete lane)\n");
-        return usage(argv[0]);
-      }
-      mapping::PortfolioOptions portfolio_options;
-      portfolio_options.lanes =
-          mapping::default_portfolio_lanes(board, lanes, pipeline_options);
-      const mapping::PortfolioResult r =
-          mapping::solve_portfolio(design, board, portfolio_options);
-      if (!csv) {
-        report::TextTable race({"Lane", "Kind", "Status", "Objective",
-                                "Wall (s)", "B&B nodes"});
-        race.set_alignment(0, report::Align::kLeft);
-        race.set_alignment(1, report::Align::kLeft);
-        race.set_alignment(2, report::Align::kLeft);
-        for (const mapping::LaneReport& lane : r.lanes) {
-          race.add_row(
-              {lane.name, mapping::to_string(lane.kind),
-               lane.ran ? lp::to_string(lane.status) : "never ran",
-               lane.usable
-                   ? std::to_string(static_cast<long long>(lane.objective))
-                   : "-",
-               support::format_fixed(lane.seconds, 3),
-               std::to_string(static_cast<long long>(lane.effort.bnb_nodes))});
-        }
-        race.print(std::cout);
-        std::printf("\nportfolio: %zu lanes, winner %s, first proof in "
-                    "%.3fs, %d lanes cancelled\n\n",
-                    r.lanes.size(),
-                    r.winner >= 0 ? r.winner_name.c_str() : "none",
-                    r.first_prove_seconds, r.lanes_cancelled);
-      }
-      return report_single(board, design, "portfolio", csv, memory_map,
-                           r.assignment, r.detailed, r.effort, r.status,
-                           board.multi_device() && !r.device_of.empty()
-                               ? &r.device_of
-                               : nullptr);
-    }
     if (board.multi_device()) {
       if (use_complete) {
         std::fprintf(stderr,
@@ -335,10 +280,6 @@ int main(int argc, char** argv) {
   // ---- batch mode ------------------------------------------------------
   if (use_complete) {
     std::fprintf(stderr, "--complete is a single-design option\n");
-    return usage(argv[0]);
-  }
-  if (use_portfolio) {
-    std::fprintf(stderr, "--portfolio is a single-design option\n");
     return usage(argv[0]);
   }
   if (board.multi_device()) {

@@ -11,7 +11,6 @@
 #include <queue>
 #include <thread>
 
-#include "ilp/cover_cuts.hpp"
 #include "lp/presolve.hpp"
 #include "lp/standard_form.hpp"
 #include "support/assert.hpp"
@@ -252,8 +251,7 @@ class Search {
 
   // Immutable after root setup; shared read-only by every worker.
   lp::PresolveResult pre_;
-  lp::Model working_;  // presolved model plus any root cover cuts
-  const lp::Model* reduced_ = nullptr;
+  const lp::Model* reduced_ = nullptr;  // the presolved model
   std::unique_ptr<lp::StandardForm> sf_;
   std::vector<Index> int_cols_;
 
@@ -827,8 +825,7 @@ MipResult Search::run() {
     result_.seconds = timer_.seconds();
     return result_;
   }
-  working_ = pre_.reduced;
-  reduced_ = &working_;
+  reduced_ = &pre_.reduced;
   if (reduced_->num_vars() == 0) {
     offer_incumbent(lp::postsolve(pre_, {}));
     result_.status = incumbent_x_.empty() ? SolveStatus::kInfeasible
@@ -850,156 +847,15 @@ MipResult Search::run() {
       lp::StandardForm::build(*reduced_));
 
   // ---- MIP start --------------------------------------------------------
-  // Seed the incumbent BEFORE the cut loop and the first node: best-first
-  // pruning (and the queued-node prune check) bite immediately, and
-  // root reduced-cost fixing below needs an incumbent to fix against.
-  // offer_incumbent validates the candidate, so a stale or infeasible
-  // start degrades to a no-op instead of corrupting the search.
+  // Seed the incumbent BEFORE the first node: best-first pruning (and the
+  // queued-node prune check) bite immediately.  offer_incumbent validates
+  // the candidate, so a stale or infeasible start degrades to a no-op
+  // instead of corrupting the search.
   if (static_cast<Index>(options_.mip_start.size()) == original_.num_vars() &&
       original_.num_vars() > 0) {
     offer_incumbent(options_.mip_start);
     result_.mip_start_used =
         incumbent_snapshot_.load(std::memory_order_relaxed) < kInf;
-  }
-
-  // ---- conflict cliques --------------------------------------------------
-  // Map caller-supplied cliques (ORIGINAL variable space) through the
-  // presolve once.  A member fixed at 1 forces every other member to 0 —
-  // applied to working_ bounds right away; members fixed at 0 (or
-  // eliminated) simply drop out.  Cliques that survive with >= 2 members
-  // feed the violation-driven separation in the cut loop below.
-  std::vector<std::vector<Index>> cliques;
-  {
-    bool bounds_changed = false;
-    for (const auto& orig_clique : options_.conflict_cliques) {
-      std::vector<Index> mapped;
-      bool forced_one = false;
-      for (const Index v : orig_clique) {
-        if (v < 0 || v >= static_cast<Index>(pre_.var_map.size())) continue;
-        const Index r = pre_.var_map[v];
-        if (r == lp::kInvalidIndex) {
-          if (pre_.fixed_value[v] >= 0.5) forced_one = true;
-          continue;
-        }
-        if (reduced_->var_type(r) != lp::VarType::kBinary) {
-          mapped.clear();
-          break;  // only pure binary cliques are sound as <= 1 rows
-        }
-        mapped.push_back(r);
-      }
-      if (forced_one) {
-        for (const Index r : mapped) {
-          if (working_.var_ub(r) > 0.0) {
-            working_.set_var_bounds(r, working_.var_lb(r), 0.0);
-            bounds_changed = true;
-          }
-        }
-        continue;
-      }
-      if (mapped.size() >= 2) cliques.push_back(std::move(mapped));
-    }
-    if (bounds_changed) {
-      sf_ = std::make_unique<lp::StandardForm>(
-          lp::StandardForm::build(working_));
-    }
-  }
-  std::vector<bool> clique_added(cliques.size(), false);
-
-  // ---- root cut loop -----------------------------------------------------
-  // Per round on the root LP: reduced-cost bound fixing from the
-  // incumbent, lifted cover separation, violated-clique separation; then
-  // rebuild the standard form and re-solve.  Each round pays a model
-  // rebuild + cold solve, which the bound improvement repays many times
-  // over on the mapping formulations.  Serial: the rounds mutate the
-  // model every worker will share.
-  std::int64_t root_refactorizations = 0;
-  {
-    auto root_engine = lp::make_lp_backend(options_.lp_engine, *sf_);
-    for (int round = 0; round < options_.max_cut_rounds; ++round) {
-      if (limits_hit()) break;
-      if (options_.progress) {
-        options_.progress->fetch_add(1, std::memory_order_relaxed);
-      }
-      const std::int64_t before = root_engine->stats().iterations;
-      const SolveStatus root_status = root_engine->solve(lp_options());
-      result_.lp_iterations += root_engine->stats().iterations - before;
-      if (root_status != SolveStatus::kOptimal) break;
-      bool model_changed = false;
-
-      // Reduced-cost fixing.  A nonbasic integer column at a bound with
-      // reduced cost d could only move delta away from that bound before
-      // the LP bound z + |d| * delta crosses the prune threshold — the
-      // SAME threshold node pruning uses, so tightening to that delta
-      // discards only solutions the search would prune anyway.
-      const double threshold = prune_threshold();
-      if (options_.use_reduced_cost_fixing &&
-          incumbent_snapshot_.load(std::memory_order_relaxed) < kInf) {
-        const double z_root =
-            root_engine->objective_value() + pre_.objective_offset;
-        for (const Index j : int_cols_) {
-          const double lb = working_.var_lb(j);
-          const double ub = working_.var_ub(j);
-          if (lb >= ub) continue;
-          const double d = root_engine->reduced_cost(j);
-          const lp::VStat stat = root_engine->column_status(j);
-          if (stat == lp::VStat::kAtLower && d > lp::kDualTol) {
-            const double delta = (threshold - z_root) / d;
-            const double new_ub = lb + std::floor(delta + 1e-9);
-            if (new_ub < ub - 0.5) {
-              working_.set_var_bounds(j, lb, std::max(lb, new_ub));
-              ++result_.rc_fixed;
-              model_changed = true;
-            }
-          } else if (stat == lp::VStat::kAtUpper && d < -lp::kDualTol) {
-            const double delta = (threshold - z_root) / -d;
-            const double new_lb = ub - std::floor(delta + 1e-9);
-            if (new_lb > lb + 0.5) {
-              working_.set_var_bounds(j, std::min(ub, new_lb), ub);
-              ++result_.rc_fixed;
-              model_changed = true;
-            }
-          }
-        }
-      }
-
-      const std::vector<double> x = root_engine->structural_solution();
-
-      // Lifted knapsack cover cuts.
-      const std::vector<CoverCut> cuts = separate_cover_cuts(working_, x);
-      for (const CoverCut& cut : cuts) {
-        lp::LinExpr expr;
-        for (std::size_t k = 0; k < cut.vars.size(); ++k) {
-          expr.add(cut.vars[k], cut.coefs[k]);
-        }
-        working_.add_row(expr, -kInf, cut.rhs);
-        model_changed = true;
-      }
-      result_.cover_cuts += static_cast<std::int64_t>(cuts.size());
-
-      // Clique cuts: add sum_{j in Q} x_j <= 1 for every not-yet-added
-      // clique the root LP violates.
-      for (std::size_t c = 0; c < cliques.size(); ++c) {
-        if (clique_added[c]) continue;
-        double activity = 0.0;
-        for (const Index j : cliques[c]) activity += x[j];
-        if (activity <= 1.0 + 1e-6) continue;
-        lp::LinExpr expr;
-        for (const Index j : cliques[c]) expr.add(j, 1.0);
-        working_.add_row(expr, -kInf, 1.0);
-        clique_added[c] = true;
-        ++result_.clique_cuts;
-        model_changed = true;
-      }
-
-      if (!model_changed) break;
-      root_refactorizations += root_engine->stats().refactorizations;
-      result_.lp_work_units += root_engine->stats().work_units;
-      sf_ =
-          std::make_unique<lp::StandardForm>(lp::StandardForm::build(working_));
-      root_engine = lp::make_lp_backend(options_.lp_engine, *sf_);
-    }
-    root_refactorizations += root_engine->stats().refactorizations;
-    result_.lp_work_units += root_engine->stats().work_units;
   }
 
   // ---- root ------------------------------------------------------------
@@ -1027,7 +883,6 @@ MipResult Search::run() {
   }
 
   // ---- wrap up -----------------------------------------------------------
-  result_.simplex_refactorizations = root_refactorizations;
   result_.basis = basis_stats_;  // stored/evicted (heap side)
   for (const auto& worker : workers) {
     result_.lp_iterations += worker->lp_iterations();

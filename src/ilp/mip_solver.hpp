@@ -3,7 +3,9 @@
 // This is the stand-in for the commercial solver (CPLEX) used in the
 // paper.  Architecture:
 //
-//   * presolve once at the root (lp::presolve);
+//   * presolve once at the root (lp::presolve), and no cutting planes:
+//     the first node LP is the plain relaxation, and the tree search
+//     below closes the gap;
 //   * best-first node selection with PLUNGING: the popped node starts a
 //     depth-first dive that reuses the engine's warm basis; a dive step
 //     changes only a basic column's bounds, so it rebuilds nothing;
@@ -67,31 +69,11 @@ struct MipOptions {
   double abs_gap = 1e-9;
   bool use_presolve = true;
   lp::SimplexOptions simplex;
-  /// Which LP engine every node relaxation runs on (root cut loop and
-  /// all branch-and-bound workers alike).  Both backends prove the same
-  /// objectives — see lp::LpBackend — so this is purely a speed knob:
-  /// kSparse makes per-pivot cost scale with nonzeros instead of rows^2.
+  /// Which LP engine every node relaxation runs on (all branch-and-bound
+  /// workers alike).  Both backends prove the same objectives — see
+  /// lp::LpBackend — so this is purely a speed knob: kSparse makes
+  /// per-pivot cost scale with nonzeros instead of rows^2.
   lp::LpEngine lp_engine = lp::LpEngine::kDense;
-  /// Rounds of root-node cut separation (0 = off).  Each round separates
-  /// lifted knapsack cover cuts, clique cuts from `conflict_cliques`,
-  /// and (with an incumbent) applies reduced-cost bound fixing.  The
-  /// mapping formulations' port/capacity knapsacks leave the plain LP
-  /// bound several percent weak; the cut loop closes most of it.
-  int max_cut_rounds = 8;
-  /// Cliques of mutually exclusive binary variables in ORIGINAL variable
-  /// space (at most one of each clique can be 1), mined by callers from
-  /// problem structure the row data does not expose — the global mapper
-  /// passes conflict-graph cliques whose members cannot share any
-  /// memory's resources.  The root loop adds `sum_{j in Q} x_j <= 1`
-  /// whenever the root LP violates it.  Non-binary or presolve-fixed
-  /// members are handled soundly (fixed-at-1 members zero the rest).
-  std::vector<std::vector<lp::Index>> conflict_cliques;
-  /// Root reduced-cost fixing: once an incumbent exists, any nonbasic
-  /// integer column whose reduced cost proves every step away from its
-  /// bound exceeds the prune threshold gets its bounds tightened.  Uses
-  /// the SAME threshold as node pruning, so it never cuts off a solution
-  /// the search itself would have kept.
-  bool use_reduced_cost_fixing = true;
   /// Per-open-node LP basis cache: every node pushed to the shared heap
   /// carries a snapshot of its parent's optimal basis, and the worker
   /// that later pops it warm-starts from that snapshot — so a heap pop
@@ -122,11 +104,11 @@ struct MipOptions {
   /// interrupts even a single long LP solve.  Both are polled at node
   /// boundaries — two relaxed atomic loads, free at our node rates.
   std::shared_ptr<const support::CancelToken> cancel_token;
-  /// Optional liveness counter, bumped once per processed node (and per
-  /// root cut round).  Unlike the node counts in MipResult — which only
-  /// exist after the solve returns — this is readable WHILE the solve
-  /// runs, so a watchdog can tell a slow solve from a wedged one and
-  /// force-cancel the latter.  nullptr (the default) costs nothing.
+  /// Optional liveness counter, bumped once per processed node and once
+  /// per strong-branching probe LP.  Unlike the node counts in MipResult
+  /// — which only exist after the solve returns — this is readable WHILE
+  /// the solve runs, so a watchdog can tell a slow solve from a wedged
+  /// one and force-cancel the latter.  nullptr (the default) costs nothing.
   std::shared_ptr<std::atomic<std::int64_t>> progress;
   /// Optional warm incumbent ("MIP start") in ORIGINAL variable space,
   /// installed at the root before any node solves so best-first pruning
@@ -160,13 +142,15 @@ struct MipResult {
   std::int64_t nodes = 0;
   std::int64_t lp_iterations = 0;
   std::int64_t simplex_refactorizations = 0;
-  /// Arithmetic work units spent inside the LP engines (root + all
-  /// workers); see lp::SimplexStats::work_units.  The dense-vs-sparse
-  /// A/B in bench_09 gates on this, not on wall time.
+  /// Arithmetic work units spent inside the LP engines (all workers);
+  /// see lp::SimplexStats::work_units.  The dense-vs-sparse A/B in
+  /// bench_09 gates on this, not on wall time.
   std::int64_t lp_work_units = 0;
-  std::int64_t cover_cuts = 0;   // lifted cover cuts added at the root
-  std::int64_t clique_cuts = 0;  // conflict-clique cuts added at the root
-  std::int64_t rc_fixed = 0;     // columns bound-tightened by reduced cost
+  /// Always 0: the solver has no root cut loop.  Kept only because the
+  /// repository benchmark's per-layer report still reads them.
+  std::int64_t cover_cuts = 0;
+  std::int64_t clique_cuts = 0;
+  std::int64_t rc_fixed = 0;
   /// Basis warm-start cache counters (see MipOptions::max_stored_bases):
   /// snapshots stored/loaded/evicted plus the dual-pivot split between
   /// warm-started and cold heap pops.

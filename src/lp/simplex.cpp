@@ -145,12 +145,21 @@ void DenseTableauBackend::load_basis(const Basis& basis) {
   // duals), but a basis loaded from elsewhere — a different LP of the
   // same shape, or a snapshot whose nonbasic sides a long bound path
   // invalidated — may put a column on the bound its reduced cost argues
-  // against.  Flipping such a column to its other finite bound restores
-  // the dual-simplex entry contract without touching the duals (they
-  // depend only on the basic set).  A column that cannot be flipped
-  // (wrong-sign reduced cost with no opposite finite bound) admits no
-  // cheap repair: fall back to the all-logical basis, which is always a
-  // valid cold start — degraded, never wrong.
+  // against.  When no cheap repair exists, fall back to the all-logical
+  // basis, which is always a valid cold start — degraded, never wrong.
+  if (!flip_to_dual_feasible()) {
+    reset_to_logical_basis();
+    return;
+  }
+  refresh_basic_solution();
+}
+
+bool DenseTableauBackend::flip_to_dual_feasible() {
+  // Flipping a column to its other finite bound restores the dual-simplex
+  // entry contract without touching the duals (they depend only on the
+  // basic set).  A column that cannot be flipped (wrong-sign reduced cost
+  // with no opposite finite bound, or a nonbasic free column with a
+  // nonzero reduced cost) admits no cheap repair.
   for (Index j = 0; j < n_; ++j) {
     switch (stat_[j]) {
       case VStat::kBasic:
@@ -158,33 +167,22 @@ void DenseTableauBackend::load_basis(const Basis& basis) {
         break;
       case VStat::kAtLower:
         if (d_[j] < -kDualTol) {
-          if (ub_[j] >= kInf) {
-            reset_to_logical_basis();
-            return;
-          }
+          if (ub_[j] >= kInf) return false;
           stat_[j] = VStat::kAtUpper;
         }
         break;
       case VStat::kAtUpper:
         if (d_[j] > kDualTol) {
-          if (lb_[j] <= -kInf) {
-            reset_to_logical_basis();
-            return;
-          }
+          if (lb_[j] <= -kInf) return false;
           stat_[j] = VStat::kAtLower;
         }
         break;
       case VStat::kFree:
-        if (std::abs(d_[j]) > kDualTol) {
-          // A nonbasic free column with nonzero reduced cost has no bound
-          // to sit on at all; only a cold start is safe.
-          reset_to_logical_basis();
-          return;
-        }
+        if (std::abs(d_[j]) > kDualTol) return false;
         break;
     }
   }
-  refresh_basic_solution();
+  return true;
 }
 
 bool DenseTableauBackend::swap_to_basis(const std::vector<Index>& target) {
@@ -291,7 +289,7 @@ double DenseTableauBackend::column_dot(const double* rho, Index j) const {
   return acc;
 }
 
-void DenseTableauBackend::refactorize() {
+bool DenseTableauBackend::refactorize() {
   ++stats_.refactorizations;
   pivots_since_refactor_ = 0;
   const std::size_t mm = static_cast<std::size_t>(m_) * m_;
@@ -305,6 +303,19 @@ void DenseTableauBackend::refactorize() {
       for (std::size_t k = sf_.col_start[j]; k < sf_.col_start[j + 1]; ++k) {
         work_b_[static_cast<std::size_t>(sf_.row_index[k]) * m_ + col] =
             sf_.value[k];
+      }
+    }
+  }
+  // Injected singularity (the fault point SparseSimplexBackend::factorize
+  // shares): the first structural basis column reads as all zeros on the
+  // first attempt, forcing one trip through the repair below exactly as a
+  // genuinely dependent column would.
+  Index sabotaged_col = kInvalidIndex;
+  if (GMM_FAULT("lu.refactor", "singular")) {
+    for (Index c = 0; c < m_; ++c) {
+      if (!sf_.is_logical(basis_[c])) {
+        sabotaged_col = c;
+        break;
       }
     }
   }
@@ -323,6 +334,11 @@ void DenseTableauBackend::refactorize() {
       binv_[static_cast<std::size_t>(i) * m_ + i] = 1.0;
     }
     std::vector<double> lhs(work_b_);
+    if (attempt == 0 && sabotaged_col != kInvalidIndex) {
+      for (Index i = 0; i < m_; ++i) {
+        lhs[static_cast<std::size_t>(i) * m_ + sabotaged_col] = 0.0;
+      }
+    }
     std::vector<Index> row_origin(m_);
     std::int64_t work = 0;  // multiply-adds performed, for work_units
     for (Index i = 0; i < m_; ++i) row_origin[i] = i;
@@ -426,9 +442,23 @@ void DenseTableauBackend::refactorize() {
                static_cast<std::int64_t>(inv_nz.size()));
     }
     stats_.work_units += work;
-    if (!repaired) return;  // success
+    if (!repaired) return attempt > 0;  // success
   }
   GMM_ASSERT(false, "refactorize: repeated basis repair did not converge");
+  return true;
+}
+
+void DenseTableauBackend::refactorize_in_solve() {
+  const bool repaired = refactorize();
+  compute_duals();
+  // A repair swapped a dependent column out of the basis, which moves the
+  // duals: restore dual feasibility the way load_basis does before the
+  // dual simplex resumes, or it could stop at a non-optimal vertex.
+  if (repaired && !flip_to_dual_feasible()) {
+    reset_to_logical_basis();
+    return;
+  }
+  refresh_basic_solution();
 }
 
 void DenseTableauBackend::update_inverse(Index r, double pivot) {
@@ -653,9 +683,7 @@ SolveStatus DenseTableauBackend::solve(const SimplexOptions& options) {
       return SolveStatus::kTimeLimit;
     }
     if (pivots_since_refactor_ >= options.refactor_interval) {
-      refactorize();
-      refresh_basic_solution();
-      compute_duals();
+      refactorize_in_solve();
     }
     switch (dual_pivot()) {
       case PivotResult::kOptimal:
@@ -668,9 +696,7 @@ SolveStatus DenseTableauBackend::solve(const SimplexOptions& options) {
         break;
       case PivotResult::kNumerical:
         if (++numerical_retries > 3) return SolveStatus::kNumericalFailure;
-        refactorize();
-        refresh_basic_solution();
-        compute_duals();
+        refactorize_in_solve();
         break;
     }
   }

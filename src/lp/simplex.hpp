@@ -108,7 +108,15 @@ class DenseTableauBackend final : public LpBackend {
   void ftran(Index j, std::vector<double>& w) const;  // w = B^{-1} A_j
   double column_dot(const double* rho, Index j) const;  // rho . A_j
 
-  void refactorize();
+  /// Rebuild B^{-1} from the basic columns.  Repairs a singular basis by
+  /// swapping dependent columns for logicals; true when it did.
+  bool refactorize();
+  /// refactorize() inside solve(): rebuilds x_B and the duals, and after a
+  /// repair restores dual feasibility first (as load_basis does).
+  void refactorize_in_solve();
+  /// Flip nonbasic columns whose reduced cost argues against their bound
+  /// to the other finite bound; false when some column admits no flip.
+  [[nodiscard]] bool flip_to_dual_feasible();
   /// Walk the basis to `target`'s basic set by column swaps on B^{-1},
   /// then reorder its rows to `target`'s.  False (basis_ and B^{-1} left
   /// consistent but not at `target`) when the swaps are too many or a

@@ -11,7 +11,6 @@
 #include "mapping/complete_mapper.hpp"
 #include "mapping/cost_model.hpp"
 #include "mapping/pipeline.hpp"
-#include "mapping/portfolio.hpp"
 #include "mapping/remap.hpp"
 #include "mapping/shard_mapper.hpp"
 #include "mapping/validate.hpp"
@@ -443,8 +442,6 @@ void MappingService::run_map(const std::string& id, int version,
   const bool cacheable =
       cache_.enabled() && !request.sharded && !request.knobs.no_cache;
   RequestFingerprint fp;
-  RequestFingerprint fp_complete;  // portfolio only: the complete-keyed twin
-  bool have_fp_complete = false;
   std::vector<std::size_t> type_by_rank;    // canonical rank -> flat index
   std::optional<CacheEntry> prior;          // near-miss seed (global path)
   bool verify_failed = false;
@@ -459,28 +456,12 @@ void MappingService::run_map(const std::string& id, int version,
     for (std::size_t t = 0; t < board->num_types(); ++t) {
       type_by_rank[fp.type_rank[t]] = t;
     }
-    // A portfolio request probes BOTH single-solve keys: its winner is
-    // cached under the winner's formulation (exactly as a single solve
-    // would be), so a prior global OR complete proof satisfies the same
-    // gap contract either way.
-    std::vector<const RequestFingerprint*> probes{&fp};
-    if (request.portfolio) {
-      fp_complete = fingerprint_request(
-          design, *board, CachedFormulation::kComplete, mip.rel_gap);
-      have_fp_complete = true;
-      probes.push_back(&fp_complete);
-    }
-    for (const RequestFingerprint* probe : probes) {
-      std::optional<CacheEntry> hit = cache_.find(probe->full);
-      if (!hit.has_value()) continue;
+    if (std::optional<CacheEntry> hit = cache_.find(fp.full);
+        hit.has_value()) {
       // Replay through the canonical permutations, then RE-VERIFY against
       // THIS request's design and board: a fingerprint collision (or a
       // poisoned entry) degrades to a verify-fail miss, never a wrong
       // answer.
-      std::vector<std::size_t> probe_type_by_rank(board->num_types());
-      for (std::size_t t = 0; t < board->num_types(); ++t) {
-        probe_type_by_rank[probe->type_rank[t]] = t;
-      }
       mapping::GlobalAssignment replayed;
       mapping::DetailedMapping mapped;
       bool ok = hit->num_structures == design.size() &&
@@ -489,15 +470,15 @@ void MappingService::run_map(const std::string& id, int version,
       if (ok) {
         std::vector<std::size_t> ds_by_rank(design.size());
         for (std::size_t d = 0; d < design.size(); ++d) {
-          ds_by_rank[probe->structure_rank[d]] = d;
+          ds_by_rank[fp.structure_rank[d]] = d;
         }
         replayed.type_of.assign(design.size(), -1);
         for (std::size_t d = 0; d < design.size() && ok; ++d) {
-          const int tr = hit->type_of_by_rank[probe->structure_rank[d]];
+          const int tr = hit->type_of_by_rank[fp.structure_rank[d]];
           ok = tr >= 0 && tr < static_cast<int>(board->num_types());
           if (ok) {
             replayed.type_of[d] = static_cast<int>(
-                probe_type_by_rank[static_cast<std::size_t>(tr)]);
+                type_by_rank[static_cast<std::size_t>(tr)]);
           }
         }
         for (const mapping::PlacedFragment& f : hit->fragments_by_rank) {
@@ -506,7 +487,7 @@ void MappingService::run_map(const std::string& id, int version,
           if (ok) {
             mapping::PlacedFragment placed = f;
             placed.ds = ds_by_rank[f.ds];
-            placed.type = probe_type_by_rank[f.type];
+            placed.type = type_by_rank[f.type];
             mapped.fragments.push_back(placed);
           }
         }
@@ -545,23 +526,22 @@ void MappingService::run_map(const std::string& id, int version,
       }
       // Poison the colliding key: left in place it would verify-fail on
       // every future resubmission of this request.
-      cache_.erase(probe->full);
+      cache_.erase(fp.full);
       verify_failed = true;
       // Alert once per fingerprint — repeated corruption of the same
       // entry (or a hot key being resubmitted) must not storm the log.
       {
         const std::scoped_lock lock(mutex_);
-        if (logged_poisoned_.insert(probe->full).second) {
+        if (logged_poisoned_.insert(fp.full).second) {
           GMM_LOG(kWarn) << "cache: poisoned entry evicted, fingerprint "
-                         << probe->full.hi << ":" << probe->full.lo
+                         << fp.full.hi << ":" << fp.full.lo
                          << " failed replay verification (request '" << id
                          << "'); answering with a cold solve";
         }
       }
     }
-    // Near-miss warm re-solves stay a plain-global feature: a portfolio
-    // request races cold (its lanes' value is finding the fast prover).
-    if (!request.complete && !request.portfolio) {
+    // Near-miss warm re-solves are a plain-global feature.
+    if (!request.complete) {
       prior = cache_.find_structural(fp.structural);
     }
   }
@@ -574,59 +554,10 @@ void MappingService::run_map(const std::string& id, int version,
   mapping::DetailedMapping detailed;
   mapping::SolveEffort effort;        // behind the returned mapping
   mapping::SolveEffort total_effort;  // all work executed (= effort
-                                      // except for sharded/portfolio)
+                                      // except for sharded)
   ilp::MipResult mip_result;
   mapping::ShardStats shard_stats;
-  // Cache-insertion keying for the portfolio path: the winner's proof is
-  // inserted exactly as the equivalent single solve would be, under the
-  // winner's formulation key.  Sharded winners are never inserted (no
-  // single-MIP proof to replay against).
-  bool insert_allowed = true;
-  bool insert_as_complete = request.complete;
-  std::string portfolio_winner;       // stats histogram key, "" = no win
-  std::int64_t portfolio_lanes = 0;
-  std::int64_t portfolio_cancelled = 0;
-  if (request.portfolio) {
-    mapping::PortfolioOptions options;
-    options.cancel_token = token;
-    mapping::PipelineOptions base;
-    base.global.mip = mip;
-    const int lane_count =
-        request.knobs.lanes >= 1 ? request.knobs.lanes : 3;
-    options.lanes = mapping::default_portfolio_lanes(*board, lane_count, base);
-    // The operator's per-solve parallelism budget covers the whole race:
-    // lane workers x per-lane B&B threads stays within
-    // max_threads_per_solve, mirroring the sharded fan-out policy.
-    const auto budget = static_cast<std::size_t>(
-        std::max(1, options_.max_threads_per_solve /
-                        std::max(1, mip.num_threads)));
-    support::ThreadPool race_pool(
-        std::max<std::size_t>(std::min(budget, options.lanes.size()), 1));
-    mapping::PortfolioResult result =
-        mapping::solve_portfolio(race_pool, design, *board, options);
-    status = result.status;
-    assignment = std::move(result.assignment);
-    detailed = std::move(result.detailed);
-    effort = result.effort;
-    total_effort = result.total_effort;
-    mip_result = std::move(result.mip);
-    response.retries = result.retries;
-    response.lanes = static_cast<int>(result.lanes.size());
-    response.winner = result.winner_name;
-    response.lanes_cancelled = result.lanes_cancelled;
-    if (result.shards > 1) response.shards = result.shards;
-    portfolio_winner = result.winner_name;
-    portfolio_lanes = static_cast<std::int64_t>(result.lanes.size());
-    portfolio_cancelled = result.lanes_cancelled;
-    if (result.winner >= 0) {
-      const mapping::LaneKind kind =
-          options.lanes[static_cast<std::size_t>(result.winner)].kind;
-      insert_allowed = kind != mapping::LaneKind::kSharded;
-      insert_as_complete = kind == mapping::LaneKind::kComplete;
-    } else {
-      insert_allowed = false;
-    }
-  } else if (request.sharded) {
+  if (request.sharded) {
     mapping::ShardOptions options;
     options.pipeline.global.mip = mip;
     // The operator's per-solve parallelism budget covers the whole
@@ -731,14 +662,6 @@ void MappingService::run_map(const std::string& id, int version,
       ++stats_.sharded_requests;
       stats_.shard_solves += shard_stats.candidate_solves;
     }
-    if (request.portfolio) {
-      ++stats_.portfolio.requests;
-      stats_.portfolio.lanes_launched += portfolio_lanes;
-      stats_.portfolio.lanes_cancelled += portfolio_cancelled;
-      if (!portfolio_winner.empty()) {
-        ++stats_.portfolio.winners[portfolio_winner];
-      }
-    }
     // The request consulted the cache and a solve ran anyway: a miss
     // (near_misses / verify_fails break the misses down further).
     if (cacheable) {
@@ -797,15 +720,13 @@ void MappingService::run_map(const std::string& id, int version,
   // never need to join the fingerprint and a replay is exactly what a
   // fresh solve would return.  Near-miss results stay out — their proof
   // is for the pinned model.
-  const RequestFingerprint& insert_fp =
-      insert_as_complete && have_fp_complete ? fp_complete : fp;
-  if (cacheable && insert_allowed && !near_miss &&
+  if (cacheable && !near_miss &&
       status == SolveStatus::kOptimal &&
       mip_result.stop_reason == SolveStatus::kOptimal && detailed.success &&
       assignment.complete() && assignment.type_of.size() == design.size()) {
     CacheEntry entry;
-    entry.key = insert_fp.full;
-    entry.structural = insert_fp.structural;
+    entry.key = fp.full;
+    entry.structural = fp.structural;
     entry.num_structures = design.size();
     entry.num_types = board->num_types();
     entry.type_of_by_rank.assign(design.size(), -1);
@@ -814,8 +735,8 @@ void MappingService::run_map(const std::string& id, int version,
       const int t = assignment.type_of[d];
       canonical = t >= 0 && t < static_cast<int>(board->num_types());
       if (canonical) {
-        entry.type_of_by_rank[insert_fp.structure_rank[d]] = static_cast<int>(
-            insert_fp.type_rank[static_cast<std::size_t>(t)]);
+        entry.type_of_by_rank[fp.structure_rank[d]] = static_cast<int>(
+            fp.type_rank[static_cast<std::size_t>(t)]);
       }
     }
     entry.fragments_by_rank.reserve(detailed.fragments.size());
@@ -824,13 +745,13 @@ void MappingService::run_map(const std::string& id, int version,
       canonical = f.ds < design.size() && f.type < board->num_types();
       if (canonical) {
         mapping::PlacedFragment canon = f;
-        canon.ds = insert_fp.structure_rank[f.ds];
-        canon.type = insert_fp.type_rank[f.type];
+        canon.ds = fp.structure_rank[f.ds];
+        canon.type = fp.type_rank[f.type];
         entry.fragments_by_rank.push_back(canon);
       }
     }
     if (canonical) {
-      entry.param_hash_by_rank = insert_fp.param_hash_by_rank;
+      entry.param_hash_by_rank = fp.param_hash_by_rank;
       entry.objective = assignment.objective;
       entry.retries = response.retries;
       entry.solve_status = lp::to_string(status);

@@ -60,11 +60,6 @@ struct SolverKnobs {
   /// speed control: both engines prove identical objectives (see
   /// lp::LpBackend), so it never changes the answer's quality contract.
   std::string lp_engine;
-  /// Portfolio lane count for the "portfolio" formulation, in
-  /// [1, kMaxLanes].  Rejected (not clamped) out of range; ignored by
-  /// the other formulations.  A service-layer knob — apply_solver_knobs
-  /// ignores it.  Unset (< 0) means the service default (3 lanes).
-  int lanes = -1;
 
   /// Accepted ranges (rejecting, not clamping, beyond them).
   static constexpr std::int64_t kMaxNodes = 50'000'000;
@@ -72,7 +67,6 @@ struct SolverKnobs {
   static constexpr double kMaxTimeLimitMs = 3'600'000.0;  // one hour
   static constexpr int kMaxThreads = 1024;
   static constexpr std::int64_t kMaxStoredBases = 1'048'576;
-  static constexpr int kMaxLanes = 6;
 };
 
 /// Parse the knobs a map request carries: the nested "options" object

@@ -128,11 +128,11 @@ TEST(MipCancel, CancelDuringRootStrongBranchingStopsWithinOneCandidate) {
   MipOptions options;
   options.cancel_token = token;
   options.progress = progress;
-  options.max_cut_rounds = 0;  // progress: 1 = the root node, 2 = its
-                               // first strong-branch probe LP
   std::atomic<bool> returned{false};
   std::int64_t at_cancel = 0;
   std::thread canceller([&] {
+    // The counter is bumped once per node and once per probe LP, so 1 is
+    // the root node and 2 its first strong-branch probe.
     while (progress->load() < 2) {
       if (returned.load()) return;
       std::this_thread::yield();

@@ -129,7 +129,6 @@ TEST(MipParallel, NodeLimitStillReportsValidBound) {
   const Model m = random_mip(4242);
   MipOptions options = exact_options(4);
   options.node_limit = 1;
-  options.max_cut_rounds = 0;
   const MipResult r = solve_mip(m, options);
   // Whatever the outcome, the proven bound may not exceed any incumbent.
   if (r.has_incumbent()) {

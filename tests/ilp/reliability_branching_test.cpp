@@ -54,7 +54,6 @@ TracedRun solve(const Model& model, lp::LpEngine engine) {
   options.lp_engine = engine;
   options.rel_gap = 0.0;
   options.abs_gap = 0.5;  // exact: the objectives are integers
-  options.max_cut_rounds = 0;  // progress then counts nodes and probes only
   options.progress = std::make_shared<std::atomic<std::int64_t>>(0);
   TracedRun run{solve_mip(model, options), 0};
   run.progress = options.progress->load();

@@ -387,81 +387,33 @@ TEST(MappingService, ShardedFormulationMapsMultiDeviceBoards) {
   EXPECT_DOUBLE_EQ(out.only("glob").objective, single.objective);
 }
 
-TEST(MappingService, PortfolioFormulationRacesAndReportsWinner) {
+TEST(MappingService, RemovedPortfolioWireIsRejectedWithoutSolving) {
+  // The retired portfolio formulation and lanes knob come back as the
+  // usual error and rejection; neither starts a solve.
   Collector out;
   MappingService service({test_board()}, {.workers = 1}, out.sink());
-  Request race = map_request("race", quick_design_text());
-  race.map.portfolio = true;
-  service.handle(race);
+  service.handle(parse_request_line(
+      R"({"v":2,"id":"race","method":"map","design_text":"d",)"
+      R"("formulation":"portfolio"})"));
+  service.handle(parse_request_line(
+      R"({"v":2,"id":"lanes","method":"map","design_text":"d",)"
+      R"("options":{"lanes":2}})"));
   service.drain();
 
-  const Response r = out.only("race");
-  ASSERT_EQ(r.status, ResponseStatus::kOk) << r.error;
-  ASSERT_TRUE(r.has_result);
-  EXPECT_EQ(r.solve_status, "optimal");
-  EXPECT_EQ(r.lanes, 3);  // the service default when the knob is unset
-  EXPECT_FALSE(r.winner.empty());
-  EXPECT_FALSE(r.placements.empty());
-
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.portfolio.requests, 1);
-  EXPECT_EQ(stats.portfolio.lanes_launched, 3);
-  std::int64_t winner_total = 0;
-  for (const auto& [name, count] : stats.portfolio.winners) {
-    winner_total += count;
-  }
-  EXPECT_EQ(winner_total, 1);
-  EXPECT_EQ(stats.portfolio.winners.count(r.winner), 1u);
-  EXPECT_EQ(stats.cache.hits + stats.cache.misses + stats.cache.bypasses,
-            stats.accepted);
-}
-
-TEST(MappingService, PortfolioLanesKnobSetsTheLaneCount) {
-  Collector out;
-  MappingService service({test_board()}, {.workers = 1}, out.sink());
-  Request race = map_request("two", quick_design_text());
-  race.map.portfolio = true;
-  race.map.knobs.lanes = 2;
-  service.handle(race);
-  service.drain();
-
-  const Response r = out.only("two");
-  ASSERT_EQ(r.status, ResponseStatus::kOk) << r.error;
-  EXPECT_EQ(r.lanes, 2);
-  EXPECT_EQ(service.stats().portfolio.lanes_launched, 2);
-}
-
-TEST(MappingService, PortfolioRepeatHitsTheCacheUnderTheWinnerKey) {
-  // The winner's proof is cached under the winner's FORMULATION key;
-  // a repeat portfolio request probes both the global and complete
-  // fingerprints, so it must replay regardless of which lane won.
-  Collector out;
-  MappingService service({test_board()}, {.workers = 1}, out.sink());
-  Request cold = map_request("cold", quick_design_text());
-  cold.map.portfolio = true;
-  service.handle(cold);
-  Request warm = map_request("warm", quick_design_text());
-  warm.map.portfolio = true;
-  service.handle(warm);
-  service.drain();
-
-  const Response first = out.only("cold");
-  ASSERT_EQ(first.status, ResponseStatus::kOk) << first.error;
-  EXPECT_FALSE(first.cached);
-  const Response second = out.only("warm");
-  ASSERT_EQ(second.status, ResponseStatus::kOk) << second.error;
-  EXPECT_TRUE(second.cached);
-  EXPECT_DOUBLE_EQ(second.objective, first.objective);
-
-  const ServiceStats stats = service.stats();
-  // Portfolio counters track RACES, and the cached replay never raced:
-  // only the cold request launched lanes.
-  EXPECT_EQ(stats.portfolio.requests, 1);
-  EXPECT_EQ(stats.portfolio.lanes_launched, 3);
-  EXPECT_EQ(stats.cache.hits, 1);
-  EXPECT_EQ(stats.cache.insertions, 1);
-  EXPECT_EQ(stats.cache.hits + stats.cache.misses + stats.cache.bypasses,
-            stats.accepted);
+  // An unparseable request is answered without a method.
+  const std::vector<Response> responses = out.snapshot();
+  const auto formulation =
+      std::find_if(responses.begin(), responses.end(),
+                   [](const Response& r) { return r.id == "race"; });
+  ASSERT_NE(formulation, responses.end());
+  EXPECT_EQ(formulation->status, ResponseStatus::kError);
+  EXPECT_NE(formulation->error.find("'sharded'"), std::string::npos)
+      << formulation->error;
+  const Response lanes = out.only("lanes");
+  EXPECT_EQ(lanes.status, ResponseStatus::kRejected);
+  EXPECT_EQ(lanes.error, "unknown solver knob 'lanes' in 'options'");
+  EXPECT_FALSE(lanes.retryable);
+  EXPECT_EQ(service.stats().solves, 0);
 }
 
 TEST(MappingService, PingAndInvalidRespondSynchronously) {

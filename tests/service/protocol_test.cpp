@@ -193,51 +193,27 @@ TEST(Protocol, ParsesShardedFormulation) {
   EXPECT_NE(bad.error.find("sharded"), std::string::npos) << bad.error;
 }
 
-TEST(Protocol, ParsesPortfolioFormulation) {
+TEST(Protocol, RejectsTheRemovedPortfolioFormulation) {
+  // "portfolio" is no longer a formulation: it gets the unknown-value
+  // error, which names every formulation still accepted.
   const Request r = parse_request_line(
-      R"({"id":"p1","method":"map","design_text":"d",)"
-      R"("formulation":"portfolio","options":{"lanes":2}})");
-  ASSERT_EQ(r.method, Method::kMap);
-  EXPECT_TRUE(r.map.portfolio);
-  EXPECT_FALSE(r.map.sharded);
-  EXPECT_FALSE(r.map.complete);
-  EXPECT_EQ(r.map.knobs.lanes, 2);
-
-  // The unknown-formulation error names every accepted value.
-  const Request bad = parse_request_line(
-      R"({"id":"p2","method":"map","design_text":"d","formulation":"x"})");
-  EXPECT_EQ(bad.method, Method::kInvalid);
-  EXPECT_NE(bad.error.find("portfolio"), std::string::npos) << bad.error;
+      R"({"v":2,"id":"p1","method":"map","design_text":"d",)"
+      R"("formulation":"portfolio"})");
+  EXPECT_EQ(r.method, Method::kInvalid);
+  for (const char* name : {"'global'", "'complete'", "'sharded'"}) {
+    EXPECT_NE(r.error.find(name), std::string::npos) << r.error;
+  }
+  EXPECT_EQ(r.error.find("portfolio"), std::string::npos) << r.error;
 }
 
-TEST(Protocol, PortfolioFieldsRoundTripOnMapResponses) {
-  Response r;
-  r.id = "p1";
-  r.method = "map";
-  r.status = ResponseStatus::kOk;
-  r.has_result = true;
-  r.solve_status = "optimal";
-  r.lanes = 3;
-  r.winner = "global-nocuts";
-  r.lanes_cancelled = 2;
-  const JsonParseResult parsed = parse_json(r.to_line());
-  ASSERT_TRUE(parsed.ok);
-  Response back;
-  ASSERT_TRUE(Response::from_json(parsed.value, back));
-  EXPECT_EQ(back.lanes, 3);
-  EXPECT_EQ(back.winner, "global-nocuts");
-  EXPECT_EQ(back.lanes_cancelled, 2);
-
-  // Non-portfolio responses stay clean of the fields.
-  Response plain;
-  plain.id = "p2";
-  plain.method = "map";
-  plain.status = ResponseStatus::kOk;
-  plain.has_result = true;
-  plain.solve_status = "optimal";
-  const std::string text = plain.to_line();
-  EXPECT_EQ(text.find("winner"), std::string::npos) << text;
-  EXPECT_EQ(text.find("lanes"), std::string::npos) << text;
+TEST(Protocol, RejectsTheRemovedLanesKnobAsUnknown) {
+  // Reject, not ignore: the request parses as a map and carries the
+  // unknown-knob rejection the service answers with "rejected".
+  const Request r = parse_request_line(
+      R"({"v":2,"id":"p2","method":"map","design_text":"d",)"
+      R"("options":{"lanes":2}})");
+  ASSERT_EQ(r.method, Method::kMap);
+  EXPECT_EQ(r.reject_reason, "unknown solver knob 'lanes' in 'options'");
 }
 
 TEST(Protocol, ShardFieldsRoundTripOnMapResponses) {

@@ -241,34 +241,17 @@ TEST(SolverKnobs, UnsetSentinelKeepsUnlimitedBudget) {
   EXPECT_EQ(mip.time_limit_seconds, lp::kInf);  // only the sentinel keeps it
 }
 
-TEST(SolverKnobs, LanesKnobParsesAndRejectsOutOfRange) {
-  for (const char* text : {R"({"options":{"lanes":0}})",
-                           R"({"options":{"lanes":7}})",
-                           R"({"options":{"lanes":-1}})",
-                           R"({"options":{"lanes":2.5}})",
-                           R"({"options":{"lanes":"three"}})"}) {
+TEST(SolverKnobs, RemovedLanesKnobIsRejectedAsUnknown) {
+  // Every value the retired portfolio lane count once accepted now
+  // rejects as an unknown knob instead of being silently ignored.
+  for (const int lanes : {1, 3, 6}) {
     SolverKnobs knobs;
     std::string reason;
-    EXPECT_FALSE(parse_solver_knobs(parse_object(text), knobs, reason))
-        << text;
-  }
-  for (const int lanes : {1, 3, SolverKnobs::kMaxLanes}) {
-    SolverKnobs knobs;
-    std::string reason;
-    ASSERT_TRUE(parse_solver_knobs(
+    EXPECT_FALSE(parse_solver_knobs(
         parse_object(R"({"options":{"lanes":)" + std::to_string(lanes) + "}}"),
-        knobs, reason))
-        << reason;
-    EXPECT_EQ(knobs.lanes, lanes);
+        knobs, reason));
+    EXPECT_EQ(reason, "unknown solver knob 'lanes' in 'options'");
   }
-  SolverKnobs unset;
-  std::string reason;
-  ASSERT_TRUE(parse_solver_knobs(parse_object("{}"), unset, reason));
-  EXPECT_LT(unset.lanes, 1);  // unset: the service picks its default
-  SolverKnobs set;
-  set.lanes = 4;
-  EXPECT_NE(solver_knobs_to_json(set).dump().find("\"lanes\":4"),
-            std::string::npos);
 }
 
 TEST(SolverKnobs, ToJsonEmitsOnlySetKnobs) {

@@ -63,7 +63,6 @@ MipOptions stress_options(int threads, std::size_t cap) {
   options.max_stored_bases = cap;
   options.rel_gap = 0.0;
   options.abs_gap = 0.5;  // exact for the integer objectives used here
-  options.max_cut_rounds = 0;  // keep the tree deep on purpose
   return options;
 }
 
