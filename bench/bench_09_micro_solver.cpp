@@ -15,7 +15,6 @@
 #include "lp/solver.hpp"
 #include "mapping/complete_mapper.hpp"
 #include "mapping/detailed_mapper.hpp"
-#include "mapping/global_mapper.hpp"
 #include "mapping/preprocess.hpp"
 #include "support/rng.hpp"
 #include "support/timer.hpp"
@@ -214,102 +213,6 @@ int run_sweep() {
             .status = lp::to_string(r.status),
             .basis = r.mip.basis};
       });
-
-  // ---- dense-vs-sparse LP engine A/B (Table-3 point 6) ------------------
-  // The paper's hardest global instance (62 segments, 65-bank board)
-  // solved to gap 0 on both LP engines, 1 thread, identical options — so
-  // the ONLY difference is the engine behind lp::LpBackend.  Reliability
-  // branching proves it in a few nodes on either engine, so the arms
-  // time the root LP and the strong-branch probes more than the tree.
-  // The gate metric is work_units (machine-independent multiply-add
-  // proxy: the dense tableau pays m^2 per pivot and m^3 per
-  // refactorization, the revised simplex pays what its sparse vectors
-  // actually touch), and the arms MUST prove the same objective — a
-  // mismatch fails the bench.
-  const std::size_t engine_point = 5;  // paper point 6
-  const workload::Table3Instance hard_instance =
-      workload::build_instance(points[engine_point], bench::env_seed());
-  const mapping::CostTable hard_table(hard_instance.design,
-                                      hard_instance.board);
-  std::printf("\n== LP engine A/B (Table-3 point %d, global formulation, "
-              "exact gap, 1 thread) ==\n",
-              points[engine_point].index);
-  std::printf("  %-8s %10s %12s %14s %16s %12s\n", "engine", "wall (s)",
-              "pivots", "refactor.", "work units", "objective");
-  struct Arm {
-    lp::LpEngine engine;
-    double objective = 0.0;
-    std::string status;
-    bool proved = false;
-    std::int64_t work_units = 0;
-  };
-  std::vector<Arm> arms;
-  for (const lp::LpEngine engine :
-       {lp::LpEngine::kDense, lp::LpEngine::kSparse}) {
-    mapping::GlobalOptions options;
-    options.mip.num_threads = 1;
-    options.mip.lp_engine = engine;
-    options.mip.rel_gap = 0.0;
-    options.mip.abs_gap = 0.5;  // exact for the integer-valued objective
-    options.mip.time_limit_seconds = std::min(120.0, bench::env_time_limit());
-    support::WallTimer timer;
-    const mapping::GlobalResult r = mapping::map_global(
-        hard_instance.design, hard_instance.board, hard_table, options);
-    const double seconds = timer.seconds();
-    std::printf("  %-8s %10.3f %12lld %14lld %16lld %12.0f\n",
-                lp::to_string(engine), seconds,
-                static_cast<long long>(r.mip.lp_iterations),
-                static_cast<long long>(r.mip.simplex_refactorizations),
-                static_cast<long long>(r.mip.lp_work_units),
-                r.mip.has_incumbent() ? r.mip.objective : -1.0);
-    json.write("lp_engine_ab",
-               {bench::jint("point", points[engine_point].index),
-                bench::jstr("engine", lp::to_string(engine)),
-                bench::jnum("seconds", seconds),
-                bench::jint("nodes", r.mip.nodes),
-                bench::jint("pivots", r.mip.lp_iterations),
-                bench::jint("refactorizations",
-                            r.mip.simplex_refactorizations),
-                bench::jint("work_units", r.mip.lp_work_units),
-                bench::jnum("objective",
-                            r.mip.has_incumbent() ? r.mip.objective : -1.0),
-                bench::jstr("status", lp::to_string(r.status))});
-    arms.push_back({engine, r.mip.has_incumbent() ? r.mip.objective : -1.0,
-                    lp::to_string(r.status),
-                    r.status == lp::SolveStatus::kOptimal,
-                    r.mip.lp_work_units});
-  }
-  // Objective gate, honest about proof status: two PROVEN optima must
-  // match exactly; against one proven optimum the other arm's incumbent
-  // must not be better (a feasible solution beating a proven optimum is
-  // a correctness bug in one of the engines).  When the quick-mode time
-  // cap stops both arms short of a proof, differing incumbents are
-  // legitimate and the gate records rather than fails.
-  const bool mismatch =
-      (arms[0].proved && arms[1].proved &&
-       arms[0].objective != arms[1].objective) ||
-      (arms[0].proved && !arms[1].proved &&
-       arms[1].objective < arms[0].objective) ||
-      (arms[1].proved && !arms[0].proved &&
-       arms[0].objective < arms[1].objective);
-  if (mismatch) {
-    std::fprintf(stderr,
-                 "FAIL: LP engine A/B objective mismatch on point %d: "
-                 "dense %.0f (%s) vs sparse %.0f (%s)\n",
-                 points[engine_point].index, arms[0].objective,
-                 arms[0].status.c_str(), arms[1].objective,
-                 arms[1].status.c_str());
-    return 1;
-  }
-  if (!arms[0].proved && !arms[1].proved) {
-    std::printf("  (neither arm proved within the cap; objective gate "
-                "vacuous this run)\n");
-  }
-  std::printf("  sparse/dense work-unit ratio: %.3f\n",
-              arms[0].work_units > 0
-                  ? static_cast<double>(arms[1].work_units) /
-                        static_cast<double>(arms[0].work_units)
-                  : 0.0);
   return 0;
 }
 

@@ -114,8 +114,8 @@ double product_score(double down_gain, double up_gain) {
 ///
 /// Work sharing: one global best-first heap under `heap_mutex_`.  A worker
 /// pops the best open node, re-derives its bounds from the parent chain on
-/// its PRIVATE SimplexEngine (all engines share the immutable StandardForm
-/// built once at the root), and dives depth-first, pushing the deferred
+/// its PRIVATE engine (all engines share the immutable StandardForm built
+/// once at the root), and dives depth-first, pushing the deferred
 /// sibling of every branch back onto the shared heap.  The incumbent is
 /// published through a mutex-guarded vector plus a lock-free objective
 /// snapshot that pruning reads; a stale snapshot only ever makes pruning
@@ -145,8 +145,7 @@ class Search {
    public:
     explicit Worker(Search& search)
         : s_(search),
-          engine_(lp::make_lp_backend(search.options_.lp_engine,
-                                      *search.sf_)) {
+          engine_(*search.sf_) {
       pcost_.assign(search.reduced_->num_vars(), Pseudocost{});
     }
 
@@ -155,10 +154,7 @@ class Search {
 
     [[nodiscard]] std::int64_t lp_iterations() const { return lp_iterations_; }
     [[nodiscard]] std::int64_t refactorizations() const {
-      return engine_->stats().refactorizations;
-    }
-    [[nodiscard]] std::int64_t work_units() const {
-      return engine_->stats().work_units;
+      return engine_.stats().refactorizations;
     }
     [[nodiscard]] bool popped_any() const { return popped_any_; }
     [[nodiscard]] double last_popped_bound() const {
@@ -205,7 +201,7 @@ class Search {
     void dive(std::shared_ptr<const NodeData> node, bool warm_start);
 
     Search& s_;
-    std::unique_ptr<lp::LpBackend> engine_;  // private per-worker engine
+    lp::DenseTableauBackend engine_;  // private per-worker engine
     std::vector<Pseudocost> pcost_;  // indexed by reduced column
     Pseudocost pcost_all_;           // every observation, any column
     std::int64_t lp_iterations_ = 0;
@@ -435,7 +431,7 @@ void Search::release_basis_locked(const std::shared_ptr<BasisSlot>& slot) {
 }
 
 void Search::Worker::apply_path(const NodeData* node, const lp::Basis* warm) {
-  engine_->reset_bounds();
+  engine_.reset_bounds();
   // Collect root->leaf order; later changes on the same variable must win.
   std::vector<const NodeData*> chain;
   for (const NodeData* p = node; p != nullptr; p = p->parent.get()) {
@@ -444,7 +440,7 @@ void Search::Worker::apply_path(const NodeData* node, const lp::Basis* warm) {
   for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
     const BoundChange& c = (*it)->change;
     if (c.var != lp::kInvalidIndex) {
-      engine_->set_column_bounds(c.var, c.lb, c.ub);
+      engine_.set_column_bounds(c.var, c.lb, c.ub);
     }
   }
   if (warm != nullptr) {
@@ -453,9 +449,9 @@ void Search::Worker::apply_path(const NodeData* node, const lp::Basis* warm) {
     // and reduced costs do not depend on bounds), so the dual simplex
     // resumes as if this worker had just solved the parent.  load_basis
     // refreshes the basic solution itself.
-    engine_->load_basis(*warm);
+    engine_.load_basis(*warm);
   } else {
-    engine_->refresh_basic_solution();
+    engine_.refresh_basic_solution();
   }
 }
 
@@ -477,41 +473,41 @@ double Search::Worker::unit_pseudocost(Index j, bool up) const {
 double Search::Worker::probe_side(Index j, double value, bool up,
                                   double node_obj,
                                   const lp::Basis& node_basis) {
-  const double node_lb = engine_->column_lb(j);
-  const double node_ub = engine_->column_ub(j);
+  const double node_lb = engine_.column_lb(j);
+  const double node_ub = engine_.column_ub(j);
   const double floor_v = std::floor(value);
   const double frac = value - floor_v;
   if (up) {
-    engine_->set_column_bounds(j, floor_v + 1.0, node_ub);
+    engine_.set_column_bounds(j, floor_v + 1.0, node_ub);
   } else {
-    engine_->set_column_bounds(j, node_lb, floor_v);
+    engine_.set_column_bounds(j, node_lb, floor_v);
   }
-  if (engine_->column_status(j) != lp::VStat::kBasic) {
-    engine_->refresh_basic_solution();
+  if (engine_.column_status(j) != lp::VStat::kBasic) {
+    engine_.refresh_basic_solution();
   }
   lp::SimplexOptions simplex = s_.lp_options();
   simplex.iteration_limit = std::min(simplex.iteration_limit, kProbePivots);
   if (s_.options_.progress) {
     s_.options_.progress->fetch_add(1, std::memory_order_relaxed);
   }
-  const std::int64_t before = engine_->stats().iterations;
-  const SolveStatus status = engine_->solve(simplex);
-  lp_iterations_ += engine_->stats().iterations - before;
+  const std::int64_t before = engine_.stats().iterations;
+  const SolveStatus status = engine_.solve(simplex);
+  lp_iterations_ += engine_.stats().iterations - before;
   double gain = 0.0;  // a failed probe says nothing
   if (status == SolveStatus::kInfeasible) {
     gain = kInfeasibleGain;
   } else if (status == SolveStatus::kOptimal ||
              status == SolveStatus::kIterationLimit) {
     gain = std::max(
-        0.0, engine_->objective_value() + s_.pre_.objective_offset - node_obj);
+        0.0, engine_.objective_value() + s_.pre_.objective_offset - node_obj);
   }
   // A capped probe's gain is only a lower bound: it must not bias the
   // pseudocosts.
   if (status == SolveStatus::kOptimal) {
     record_pseudocost(j, up, gain, up ? 1.0 - frac : frac);
   }
-  engine_->set_column_bounds(j, node_lb, node_ub);
-  engine_->load_basis(node_basis);
+  engine_.set_column_bounds(j, node_lb, node_ub);
+  engine_.load_basis(node_basis);
   return gain;
 }
 
@@ -563,7 +559,7 @@ Index Search::Worker::pick_branch_var(const std::vector<double>& x,
       // interrupts a long strong-branching round (a probe cut short by
       // the deadline scores no gain and trips this check next).
       if (s_.limits_hit()) break;
-      if (!node_basis) node_basis = engine_->snapshot_basis();
+      if (!node_basis) node_basis = engine_.snapshot_basis();
       const double down_gain =
           probe_side(c.j, x[c.j], false, node_obj, *node_basis);
       const double up_gain =
@@ -599,17 +595,17 @@ void Search::Worker::run_user_heuristic(const std::vector<double>& reduced_x) {
 
 SolveStatus Search::Worker::solve_node_lp() {
   const lp::SimplexOptions simplex = s_.lp_options();
-  const std::int64_t before = engine_->stats().iterations;
-  SolveStatus status = engine_->solve(simplex);
+  const std::int64_t before = engine_.stats().iterations;
+  SolveStatus status = engine_.solve(simplex);
   if (status == SolveStatus::kNumericalFailure ||
       status == SolveStatus::kIterationLimit) {
     // Cold restart once; the all-logical basis is always dual feasible.
     GMM_LOG(kWarn) << "mip: node LP " << to_string(status)
                    << ", retrying from a cold basis";
-    engine_->reset_to_logical_basis();
-    status = engine_->solve(simplex);
+    engine_.reset_to_logical_basis();
+    status = engine_.solve(simplex);
   }
-  lp_iterations_ += engine_->stats().iterations - before;
+  lp_iterations_ += engine_.stats().iterations - before;
   return status;
 }
 
@@ -645,11 +641,11 @@ void Search::Worker::dive(std::shared_ptr<const NodeData> node,
       s_.options_.progress->fetch_add(1, std::memory_order_relaxed);
     }
 
-    const std::int64_t pivots_before = engine_->stats().iterations;
+    const std::int64_t pivots_before = engine_.stats().iterations;
     const SolveStatus lp_status = solve_node_lp();
     if (at_popped_node) {
       at_popped_node = false;
-      const std::int64_t pivots = engine_->stats().iterations - pivots_before;
+      const std::int64_t pivots = engine_.stats().iterations - pivots_before;
       if (warm_start) {
         basis_stats_.warm_pop_pivots += pivots;
       } else {
@@ -669,7 +665,7 @@ void Search::Worker::dive(std::shared_ptr<const NodeData> node,
     }
 
     const double node_bound =
-        engine_->objective_value() + s_.pre_.objective_offset;
+        engine_.objective_value() + s_.pre_.objective_offset;
 
     if (pending_var != lp::kInvalidIndex) {
       record_pseudocost(pending_var, pending_up,
@@ -680,7 +676,7 @@ void Search::Worker::dive(std::shared_ptr<const NodeData> node,
 
     if (node_bound >= s_.prune_threshold()) return;  // bound-pruned
 
-    const std::vector<double> x = engine_->structural_solution();
+    const std::vector<double> x = engine_.structural_solution();
     const Index branch_var = pick_branch_var(x, node_bound);
     if (branch_var == lp::kInvalidIndex) {
       // Integral: candidate incumbent.
@@ -708,8 +704,8 @@ void Search::Worker::dive(std::shared_ptr<const NodeData> node,
     const bool up_first = frac > 0.5;
 
     const BoundChange up{branch_var, floor_v + 1.0,
-                         engine_->column_ub(branch_var)};
-    const BoundChange down{branch_var, engine_->column_lb(branch_var),
+                         engine_.column_ub(branch_var)};
+    const BoundChange down{branch_var, engine_.column_lb(branch_var),
                            floor_v};
     const BoundChange& follow = up_first ? up : down;
     const BoundChange& defer = up_first ? down : up;
@@ -731,15 +727,15 @@ void Search::Worker::dive(std::shared_ptr<const NodeData> node,
     std::shared_ptr<const lp::Basis> defer_basis;
     if (s_.options_.max_stored_bases > 0) {
       defer_basis =
-          std::make_shared<const lp::Basis>(engine_->snapshot_basis());
+          std::make_shared<const lp::Basis>(engine_.snapshot_basis());
     }
     s_.push_open(node_bound, std::move(defer_data), std::move(defer_basis));
 
-    engine_->set_column_bounds(branch_var, follow.lb, follow.ub);
+    engine_.set_column_bounds(branch_var, follow.lb, follow.ub);
     // A fractional column is basic, and a basic column's bounds do not
     // enter x_B: only a nonbasic one needs the rebuild.
-    if (engine_->column_status(branch_var) != lp::VStat::kBasic) {
-      engine_->refresh_basic_solution();
+    if (engine_.column_status(branch_var) != lp::VStat::kBasic) {
+      engine_.refresh_basic_solution();
     }
 
     pending_var = branch_var;
@@ -887,7 +883,6 @@ MipResult Search::run() {
   for (const auto& worker : workers) {
     result_.lp_iterations += worker->lp_iterations();
     result_.simplex_refactorizations += worker->refactorizations();
-    result_.lp_work_units += worker->work_units();
     result_.basis += worker->basis_stats();  // loaded/cold/pivot split
   }
   result_.nodes = nodes_.load(std::memory_order_relaxed);

@@ -12,15 +12,14 @@
 //   * a per-open-node BASIS CACHE (MipOptions::max_stored_bases): a
 //     pushed node carries a snapshot of its parent's optimal basis, and
 //     the pop restores it — so even a heap pop warm-starts one branching
-//     change away instead of from an unrelated subtree.  The dense engine
+//     change away instead of from an unrelated subtree.  The engine
 //     reaches a restored snapshot by a few column swaps from the basis it
 //     holds and refactorizes only when the snapshot is far away (see
 //     lp/simplex.hpp);
 //   * reliability branching: fractional candidates ordered by their
 //     pseudocost product score, those with unreliable pseudocosts
 //     strong-branched by pivot-capped dual probes, each followed by a
-//     load_basis back to the node's basis (column swaps on the dense
-//     engine);
+//     load_basis back to the node's basis (by column swaps);
 //   * incumbents from integral LP relaxations, an optional user-supplied
 //     primal heuristic (the complete memory mapper injects its packing
 //     repair here), and the dive itself;
@@ -42,8 +41,9 @@
 #include <optional>
 #include <vector>
 
-#include "lp/lp_backend.hpp"
+#include "lp/basis.hpp"
 #include "lp/model.hpp"
+#include "lp/simplex.hpp"
 #include "lp/types.hpp"
 #include "support/cancellation.hpp"
 
@@ -69,11 +69,6 @@ struct MipOptions {
   double abs_gap = 1e-9;
   bool use_presolve = true;
   lp::SimplexOptions simplex;
-  /// Which LP engine every node relaxation runs on (all branch-and-bound
-  /// workers alike).  Both backends prove the same objectives — see
-  /// lp::LpBackend — so this is purely a speed knob: kSparse makes
-  /// per-pivot cost scale with nonzeros instead of rows^2.
-  lp::LpEngine lp_engine = lp::LpEngine::kDense;
   /// Per-open-node LP basis cache: every node pushed to the shared heap
   /// carries a snapshot of its parent's optimal basis, and the worker
   /// that later pops it warm-starts from that snapshot — so a heap pop
@@ -142,10 +137,6 @@ struct MipResult {
   std::int64_t nodes = 0;
   std::int64_t lp_iterations = 0;
   std::int64_t simplex_refactorizations = 0;
-  /// Arithmetic work units spent inside the LP engines (all workers);
-  /// see lp::SimplexStats::work_units.  The dense-vs-sparse A/B in
-  /// bench_09 gates on this, not on wall time.
-  std::int64_t lp_work_units = 0;
   /// Always 0: the solver has no root cut loop.  Kept only because the
   /// repository benchmark's per-layer report still reads them.
   std::int64_t cover_cuts = 0;

@@ -22,6 +22,51 @@ constexpr double kSwapPivotTol = 1e-7;
 
 bool is_nonbasic(VStat s) { return s != VStat::kBasic; }
 
+/// Nonbasic status that keeps a basis DUAL feasible for reduced cost `d`
+/// under working bounds [lb, ub] (d >= 0 wants the lower bound, d < 0
+/// the upper; one-sided bounds force the side).
+VStat dual_feasible_status(double d, double lb, double ub) {
+  if (lb == ub) return VStat::kFixed;
+  if (lb > -kInf && ub < kInf) {
+    return d >= 0.0 ? VStat::kAtLower : VStat::kAtUpper;
+  }
+  if (lb > -kInf) return VStat::kAtLower;
+  if (ub < kInf) return VStat::kAtUpper;
+  return VStat::kFree;
+}
+
+/// Normalize one loaded-snapshot status against working bounds: keep the
+/// snapshot's status whenever the bound it references still exists.
+VStat normalize_loaded_status(VStat status, double lb, double ub) {
+  switch (status) {
+    case VStat::kBasic:
+      break;
+    case VStat::kFixed:
+      if (lb != ub) {
+        return lb > -kInf ? VStat::kAtLower : VStat::kAtUpper;
+      }
+      break;
+    case VStat::kAtLower:
+      if (lb == ub) return VStat::kFixed;
+      if (lb <= -kInf) {
+        return ub < kInf ? VStat::kAtUpper : VStat::kFree;
+      }
+      break;
+    case VStat::kAtUpper:
+      if (lb == ub) return VStat::kFixed;
+      if (ub >= kInf) {
+        return lb > -kInf ? VStat::kAtLower : VStat::kFree;
+      }
+      break;
+    case VStat::kFree:
+      if (lb > -kInf || ub < kInf) {
+        return lb > -kInf ? VStat::kAtLower : VStat::kAtUpper;
+      }
+      break;
+  }
+  return status;
+}
+
 }  // namespace
 
 DenseTableauBackend::DenseTableauBackend(const StandardForm& sf)
@@ -48,7 +93,7 @@ void DenseTableauBackend::set_column_bounds(Index j, double lb, double ub) {
   // warm-start the dual simplex from whatever basis the engine holds.
   // d_ is maintained across every pivot for ALL nonbasic columns, fixed
   // ones included, precisely so this is valid.
-  stat_[j] = detail::dual_feasible_status(d_[j], lb, ub);
+  stat_[j] = dual_feasible_status(d_[j], lb, ub);
 }
 
 void DenseTableauBackend::reset_bounds() {
@@ -121,12 +166,12 @@ void DenseTableauBackend::load_basis(const Basis& basis) {
   // Normalize nonbasic statuses against the working bounds: keep the
   // snapshot's status whenever the bound it references still exists.
   for (Index j = 0; j < n_; ++j) {
-    stat_[j] = detail::normalize_loaded_status(stat_[j], lb_[j], ub_[j]);
+    stat_[j] = normalize_loaded_status(stat_[j], lb_[j], ub_[j]);
   }
   if (GMM_FAULT("lp.basis_load", "corrupt")) {
-    // Injected snapshot corruption (see SparseSimplexBackend::load_basis):
-    // flip doubly-bounded nonbasic columns to their other bound so the
-    // dual repair below runs against a genuinely corrupted snapshot.
+    // Injected snapshot corruption: flip doubly-bounded nonbasic columns
+    // to their other bound so the dual repair below runs against a
+    // genuinely corrupted snapshot.
     for (Index j = 0; j < n_; ++j) {
       if (stat_[j] == VStat::kAtLower && ub_[j] < kInf) {
         stat_[j] = VStat::kAtUpper;
@@ -221,8 +266,6 @@ bool DenseTableauBackend::swap_to_basis(const std::vector<Index>& target) {
     update_inverse(leave_row, w_[leave_row]);
     basis_[leave_row] = q;
     ++pivots_since_refactor_;
-    // Charged like a dual pivot's FTRAN + inverse update.
-    stats_.work_units += 2 * static_cast<std::int64_t>(m_) * m_;
   }
   // Same basic set; now reorder B^{-1}'s rows to the target's row order.
   work_b_.resize(static_cast<std::size_t>(m_) * m_);
@@ -306,10 +349,9 @@ bool DenseTableauBackend::refactorize() {
       }
     }
   }
-  // Injected singularity (the fault point SparseSimplexBackend::factorize
-  // shares): the first structural basis column reads as all zeros on the
-  // first attempt, forcing one trip through the repair below exactly as a
-  // genuinely dependent column would.
+  // Injected singularity: the first structural basis column reads as all
+  // zeros on the first attempt, forcing one trip through the repair below
+  // exactly as a genuinely dependent column would.
   Index sabotaged_col = kInvalidIndex;
   if (GMM_FAULT("lu.refactor", "singular")) {
     for (Index c = 0; c < m_; ++c) {
@@ -340,7 +382,6 @@ bool DenseTableauBackend::refactorize() {
       }
     }
     std::vector<Index> row_origin(m_);
-    std::int64_t work = 0;  // multiply-adds performed, for work_units
     for (Index i = 0; i < m_; ++i) row_origin[i] = i;
     bool repaired = false;
     for (Index col = 0; col < m_ && !repaired; ++col) {
@@ -426,22 +467,16 @@ bool DenseTableauBackend::refactorize() {
         inv_nz.push_back(k);
       }
       // Eliminate the column everywhere else.
-      std::int64_t rows_updated = 0;
       for (Index i = 0; i < m_; ++i) {
         if (i == col) continue;
         const double f = lhs[static_cast<std::size_t>(i) * m_ + col];
         if (f == 0.0) continue;
-        ++rows_updated;
         double* lhs_row = lhs.data() + static_cast<std::size_t>(i) * m_;
         double* inv_row = binv_.data() + static_cast<std::size_t>(i) * m_;
         for (Index k = col + 1; k < m_; ++k) lhs_row[k] -= f * lhs_piv_row[k];
         for (const Index k : inv_nz) inv_row[k] -= f * inv_piv_row[k];
       }
-      work += (rows_updated + 1) *
-              (static_cast<std::int64_t>(m_ - col - 1) +
-               static_cast<std::int64_t>(inv_nz.size()));
     }
-    stats_.work_units += work;
     if (!repaired) return attempt > 0;  // success
   }
   GMM_ASSERT(false, "refactorize: repeated basis repair did not converge");
@@ -659,12 +694,6 @@ DenseTableauBackend::PivotResult DenseTableauBackend::dual_pivot() {
 
   ++pivots_since_refactor_;
   ++stats_.iterations;
-  // Work accounting: the pivot row touched every structural nonzero plus
-  // the logicals, and the FTRAN + explicit-inverse + x_B updates each
-  // swept dense length-m rows — the m^2 term the sparse engine exists to
-  // shrink.
-  stats_.work_units += static_cast<std::int64_t>(sf_.value.size()) + m_ +
-                       2 * static_cast<std::int64_t>(m_) * m_;
   return PivotResult::kPivoted;
 }
 

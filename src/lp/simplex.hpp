@@ -1,6 +1,5 @@
-// Bounded-variable revised simplex with an explicit basis inverse — the
-// dense LpBackend implementation (and the differential-testing oracle
-// for the sparse one; see lp/lp_backend.hpp).
+// Bounded-variable revised simplex with an explicit basis inverse: the
+// one LP engine behind solve_lp() and every branch-and-bound node.
 //
 // The engine implements the DUAL simplex as its workhorse.  Rationale: in
 // this project every LP is either (a) a fresh relaxation whose variables
@@ -35,16 +34,33 @@
 // row with |pivot| above 1e-7.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "lp/basis.hpp"
-#include "lp/lp_backend.hpp"
 #include "lp/standard_form.hpp"
 #include "lp/types.hpp"
 
 namespace gmm::lp {
 
-class DenseTableauBackend final : public LpBackend {
+struct SimplexOptions {
+  std::int64_t iteration_limit = 200'000;
+  double time_limit_seconds = kInf;  // wall clock for one solve() call
+  int refactor_interval = 128;       // pivots between refactorizations
+  /// Degenerate-pivot streak (zero dual step in the ratio test) after
+  /// which the engine falls back to Bland's smallest-index anti-cycling
+  /// rules until a real step happens.  The effective threshold is
+  /// max(stall_threshold, m/2) so large models are not punished for
+  /// ordinary degeneracy.
+  int stall_threshold = 200;
+};
+
+struct SimplexStats {
+  std::int64_t iterations = 0;        // dual pivots, cumulative
+  std::int64_t refactorizations = 0;  // basis (re)factorizations, cumulative
+};
+
+class DenseTableauBackend {
  public:
   /// The engine keeps a reference to `sf`; it must outlive the engine.
   explicit DenseTableauBackend(const StandardForm& sf);
@@ -53,17 +69,17 @@ class DenseTableauBackend final : public LpBackend {
   /// Override the working bounds of a column.  Call refresh_basic_solution()
   /// after a batch of changes that touched a nonbasic column and before
   /// solve(); a basic column's bounds do not enter x_B.
-  void set_column_bounds(Index j, double lb, double ub) override;
+  void set_column_bounds(Index j, double lb, double ub);
   /// Restore all working bounds from the standard form.
-  void reset_bounds() override;
-  [[nodiscard]] double column_lb(Index j) const override { return lb_[j]; }
-  [[nodiscard]] double column_ub(Index j) const override { return ub_[j]; }
+  void reset_bounds();
+  [[nodiscard]] double column_lb(Index j) const { return lb_[j]; }
+  [[nodiscard]] double column_ub(Index j) const { return ub_[j]; }
 
   // ---- basis management ---------------------------------------------
   /// All logicals basic; structurals nonbasic at the bound their cost
   /// prefers.  Dual feasible for any model where each structural variable
   /// has a finite bound on the side its cost pushes toward.
-  void reset_to_logical_basis() override;
+  void reset_to_logical_basis();
   /// Restore a snapshot taken on the same standard form (asserts the
   /// shapes match), by column swaps from the held basis when few columns
   /// differ and by refactorization otherwise (see the header comment).
@@ -74,29 +90,29 @@ class DenseTableauBackend final : public LpBackend {
   /// is singular beyond refactorize()'s row repair) the engine degrades to
   /// the all-logical cold basis — loading a foreign or stale basis can
   /// cost pivots, never correctness.
-  void load_basis(const Basis& basis) override;
-  [[nodiscard]] Basis snapshot_basis() const override;
+  void load_basis(const Basis& basis);
+  [[nodiscard]] Basis snapshot_basis() const;
 
   /// Recompute x_B and nonbasic values from the current bounds + basis.
-  void refresh_basic_solution() override;
+  void refresh_basic_solution();
 
   // ---- solving -------------------------------------------------------
   /// Run dual simplex to optimality (primal feasibility).  The basis must
   /// already be dual feasible, which holds in all supported entry paths.
-  SolveStatus solve(const SimplexOptions& options) override;
+  SolveStatus solve(const SimplexOptions& options);
 
   // ---- solution access ------------------------------------------------
-  [[nodiscard]] double objective_value() const override;
+  [[nodiscard]] double objective_value() const;
   /// Value of any column (structural or logical) at the current basis.
-  [[nodiscard]] double column_value(Index j) const override;
+  [[nodiscard]] double column_value(Index j) const;
   /// Values of the structural columns only.
-  [[nodiscard]] std::vector<double> structural_solution() const override;
+  [[nodiscard]] std::vector<double> structural_solution() const;
   /// Reduced cost of a column (valid after solve()).
-  [[nodiscard]] double reduced_cost(Index j) const override { return d_[j]; }
-  [[nodiscard]] VStat column_status(Index j) const override {
+  [[nodiscard]] double reduced_cost(Index j) const { return d_[j]; }
+  [[nodiscard]] VStat column_status(Index j) const {
     return stat_[j];
   }
-  [[nodiscard]] const SimplexStats& stats() const override { return stats_; }
+  [[nodiscard]] const SimplexStats& stats() const { return stats_; }
   /// The explicit basis inverse, m x m row-major; row i belongs to the
   /// column basic in row i.  Read by the factorization tests.
   [[nodiscard]] const std::vector<double>& basis_inverse() const {
@@ -162,9 +178,5 @@ class DenseTableauBackend final : public LpBackend {
   bool bland_mode_ = false;
   SimplexStats stats_;
 };
-
-/// Historical name of the dense engine, kept for existing call sites and
-/// tests; new code should hold an LpBackend from make_lp_backend().
-using SimplexEngine = DenseTableauBackend;
 
 }  // namespace gmm::lp

@@ -1,6 +1,7 @@
 #include "lp/solver.hpp"
 
 #include "lp/presolve.hpp"
+#include "lp/simplex.hpp"
 #include "lp/standard_form.hpp"
 
 namespace gmm::lp {
@@ -21,23 +22,23 @@ LpResult solve_lp(const Model& model, const LpOptions& options) {
       return result;
     }
     const StandardForm sf = StandardForm::build(pre.reduced);
-    const auto engine = make_lp_backend(options.engine, sf);
-    result.status = engine->solve(options.simplex);
-    result.stats = engine->stats();
+    DenseTableauBackend engine(sf);
+    result.status = engine.solve(options.simplex);
+    result.stats = engine.stats();
     if (result.status == SolveStatus::kOptimal) {
-      result.x = postsolve(pre, engine->structural_solution());
-      result.objective = engine->objective_value() + pre.objective_offset;
+      result.x = postsolve(pre, engine.structural_solution());
+      result.objective = engine.objective_value() + pre.objective_offset;
     }
     return result;
   }
 
   const StandardForm sf = StandardForm::build(model);
-  const auto engine = make_lp_backend(options.engine, sf);
-  result.status = engine->solve(options.simplex);
-  result.stats = engine->stats();
+  DenseTableauBackend engine(sf);
+  result.status = engine.solve(options.simplex);
+  result.stats = engine.stats();
   if (result.status == SolveStatus::kOptimal) {
-    result.x = engine->structural_solution();
-    result.objective = engine->objective_value();
+    result.x = engine.structural_solution();
+    result.objective = engine.objective_value();
   }
   return result;
 }

@@ -10,7 +10,7 @@
 // solution formula to x_B = -B^{-1} N x_N.
 //
 // Columns are stored sparse (CSC).  Logical columns are implicit unit
-// vectors and are NOT materialized; SimplexEngine special-cases them.
+// vectors and are NOT materialized; DenseTableauBackend special-cases them.
 //
 // Rows are EQUILIBRATED on construction: each row is multiplied by the
 // power of two nearest 1/max|a_ij|, which is exact in floating point and
@@ -47,7 +47,7 @@ struct StandardForm {
   [[nodiscard]] Index logical_row(Index j) const { return j - num_structural; }
 
   /// Build from a model.  Variable bounds may be overridden later through
-  /// SimplexEngine::set_column_bounds (used by branch & bound).
+  /// DenseTableauBackend::set_column_bounds (used by branch & bound).
   static StandardForm build(const Model& model);
 };
 

@@ -35,12 +35,10 @@ namespace {
 using lp::SolveStatus;
 
 mapping::GlobalOptions exact_options(int threads,
-                                     std::size_t max_stored_bases = 4096,
-                                     lp::LpEngine engine = lp::LpEngine::kDense) {
+                                     std::size_t max_stored_bases = 4096) {
   mapping::GlobalOptions options;
   options.mip.num_threads = threads;
   options.mip.max_stored_bases = max_stored_bases;
-  options.mip.lp_engine = engine;
   options.mip.rel_gap = 0.0;
   // 0.5 is EXACT for the integer-valued mapping objectives (any strictly
   // better incumbent improves by >= 1, so nothing optimal is ever
@@ -105,13 +103,9 @@ TEST_P(Table3Determinism, IdenticalObjectivesAcrossThreadsAndCacheModes) {
   }
 }
 
-TEST_P(Table3Determinism, IdenticalObjectivesAcrossBackendsAndThreads) {
-  // The lp::LpBackend contract crossed with the parallel-search contract:
-  // every (engine, thread count) cell of the grid proves the SAME optimum
-  // as the serial dense reference, exactly.  The sparse revised simplex
-  // pivots through different intermediate bases than the dense tableau
-  // (different tie-breaking among degenerate vertices is fine), but an
-  // optimum it proves is an optimum, so the objective may not move.
+TEST_P(Table3Determinism, IdenticalObjectivesAcrossThreads) {
+  // The parallel-search contract: every thread count proves the SAME
+  // optimum as the serial reference, exactly.
   const workload::Table3Point& point =
       workload::table3_points()[static_cast<std::size_t>(GetParam())];
   const workload::Table3Instance instance = workload::build_instance(point);
@@ -121,25 +115,17 @@ TEST_P(Table3Determinism, IdenticalObjectivesAcrossBackendsAndThreads) {
       instance.design, instance.board, table, exact_options(1));
   ASSERT_EQ(reference.status, SolveStatus::kOptimal) << "point " << point.index;
 
-  for (const lp::LpEngine engine :
-       {lp::LpEngine::kDense, lp::LpEngine::kSparse}) {
-    for (const int threads : {1, 2, 8}) {
-      if (engine == lp::LpEngine::kDense && threads == 1) continue;
-      const mapping::GlobalResult cell = mapping::map_global(
-          instance.design, instance.board, table,
-          exact_options(threads, 4096, engine));
-      ASSERT_EQ(cell.status, SolveStatus::kOptimal)
-          << "point " << point.index << ", " << lp::to_string(engine) << ", "
-          << threads << " threads";
-      EXPECT_EQ(cell.assignment.objective, reference.assignment.objective)
-          << "point " << point.index << ", " << lp::to_string(engine) << ", "
-          << threads << " threads";
-      ASSERT_TRUE(cell.assignment.complete());
-      EXPECT_EQ(table.assignment_objective(cell.assignment.type_of),
-                reference.assignment.objective)
-          << "point " << point.index << ", " << lp::to_string(engine) << ", "
-          << threads << " threads";
-    }
+  for (const int threads : {2, 8}) {
+    const mapping::GlobalResult cell = mapping::map_global(
+        instance.design, instance.board, table, exact_options(threads));
+    ASSERT_EQ(cell.status, SolveStatus::kOptimal)
+        << "point " << point.index << ", " << threads << " threads";
+    EXPECT_EQ(cell.assignment.objective, reference.assignment.objective)
+        << "point " << point.index << ", " << threads << " threads";
+    ASSERT_TRUE(cell.assignment.complete());
+    EXPECT_EQ(table.assignment_objective(cell.assignment.type_of),
+              reference.assignment.objective)
+        << "point " << point.index << ", " << threads << " threads";
   }
 }
 
@@ -183,16 +169,12 @@ TEST(Table3Determinism, SerialRunsAreBitwiseIdentical) {
   const workload::Table3Instance instance =
       workload::build_instance(workload::table3_points()[2]);
   const mapping::CostTable table(instance.design, instance.board);
-  for (const lp::LpEngine engine :
-       {lp::LpEngine::kDense, lp::LpEngine::kSparse})
   for (const std::size_t cap : {std::size_t{4096}, std::size_t{0},
                                 std::size_t{3}}) {
     const mapping::GlobalResult a = mapping::map_global(
-        instance.design, instance.board, table,
-        exact_options(1, cap, engine));
+        instance.design, instance.board, table, exact_options(1, cap));
     const mapping::GlobalResult b = mapping::map_global(
-        instance.design, instance.board, table,
-        exact_options(1, cap, engine));
+        instance.design, instance.board, table, exact_options(1, cap));
     ASSERT_EQ(a.status, SolveStatus::kOptimal) << "cap " << cap;
     EXPECT_EQ(a.assignment.objective, b.assignment.objective) << "cap " << cap;
     EXPECT_EQ(a.assignment.type_of, b.assignment.type_of) << "cap " << cap;
@@ -208,8 +190,7 @@ TEST(Table3Determinism, SerialRunsAreBitwiseIdentical) {
   }
   // A long search whose warm heap pops, and whose strong-branch probes
   // returning to their node's basis, mostly reach their snapshot by
-  // column swaps on the dense engine's inverse instead of a
-  // refactorization.  Swap loads keep the promise too.
+  // column swaps on the engine's inverse instead of a refactorization.  Swap loads keep the promise too.
   const lp::Model knapsack = multi_knapsack(1);
   ilp::MipOptions budget = exact_options(1).mip;
   budget.node_limit = 2000;

@@ -2,7 +2,7 @@
 // pseudocosts are not yet reliable are strong-branched by capped dual
 // probes before the branching column is chosen.  Every cap counts pivots
 // or candidates, never time, so a 1-thread search must stay bitwise
-// reproducible with the probes in it, on both LP engines.
+// reproducible with the probes in it.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -49,9 +49,8 @@ struct TracedRun {
   std::int64_t progress = 0;  // nodes + strong-branch probe LPs
 };
 
-TracedRun solve(const Model& model, lp::LpEngine engine) {
+TracedRun solve(const Model& model) {
   MipOptions options;
-  options.lp_engine = engine;
   options.rel_gap = 0.0;
   options.abs_gap = 0.5;  // exact: the objectives are integers
   options.progress = std::make_shared<std::atomic<std::int64_t>>(0);
@@ -64,31 +63,20 @@ TEST(ReliabilityBranching, SerialRunsAreBitwiseIdentical) {
   std::int64_t probes = 0;
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     const Model model = packing_mip(24, 10, seed * 4099);
-    double objective = 0.0;
-    for (const lp::LpEngine engine :
-         {lp::LpEngine::kDense, lp::LpEngine::kSparse}) {
-      const TracedRun a = solve(model, engine);
-      const TracedRun b = solve(model, engine);
-      const std::string where =
-          std::string(lp::to_string(engine)) + " seed " + std::to_string(seed);
-      ASSERT_EQ(a.result.status, SolveStatus::kOptimal) << where;
-      EXPECT_EQ(a.result.objective, b.result.objective) << where;
-      EXPECT_EQ(a.result.x, b.result.x) << where;
-      EXPECT_EQ(a.result.nodes, b.result.nodes) << where;
-      EXPECT_EQ(a.result.lp_iterations, b.result.lp_iterations) << where;
-      EXPECT_EQ(a.result.simplex_refactorizations,
-                b.result.simplex_refactorizations)
-          << where;
-      EXPECT_EQ(a.result.basis.loaded, b.result.basis.loaded) << where;
-      EXPECT_EQ(a.progress, b.progress) << where;
-      // Both engines prove the same optimum.
-      if (engine == lp::LpEngine::kDense) {
-        objective = a.result.objective;
-      } else {
-        EXPECT_EQ(a.result.objective, objective) << where;
-      }
-      probes += a.progress - a.result.nodes;
-    }
+    const TracedRun a = solve(model);
+    const TracedRun b = solve(model);
+    const std::string where = "seed " + std::to_string(seed);
+    ASSERT_EQ(a.result.status, SolveStatus::kOptimal) << where;
+    EXPECT_EQ(a.result.objective, b.result.objective) << where;
+    EXPECT_EQ(a.result.x, b.result.x) << where;
+    EXPECT_EQ(a.result.nodes, b.result.nodes) << where;
+    EXPECT_EQ(a.result.lp_iterations, b.result.lp_iterations) << where;
+    EXPECT_EQ(a.result.simplex_refactorizations,
+              b.result.simplex_refactorizations)
+        << where;
+    EXPECT_EQ(a.result.basis.loaded, b.result.basis.loaded) << where;
+    EXPECT_EQ(a.progress, b.progress) << where;
+    probes += a.progress - a.result.nodes;
   }
   // The corpus really strong-branches.
   EXPECT_GT(probes, 100);

@@ -72,4 +72,11 @@ TEST_F(MapperCli, RemovedLanesFlagPrintsUsageAndFails) {
   EXPECT_EQ(run.output.find("--lanes"), std::string::npos) << run.output;
 }
 
+TEST_F(MapperCli, RemovedLpEngineFlagPrintsUsageAndFails) {
+  const CliRun run = run_cli("--lp-engine dense");
+  EXPECT_EQ(run.exit_status, 2) << run.output;
+  EXPECT_NE(run.output.find("usage:"), std::string::npos) << run.output;
+  EXPECT_EQ(run.output.find("--lp-engine"), std::string::npos) << run.output;
+}
+
 }  // namespace

@@ -87,12 +87,12 @@ TEST(BasisRoundtripProperty, SnapshotLoadReSolvesToColdObjective) {
     const Model model = random_lp(dims.vars, dims.rows, seed * 7919);
     const StandardForm sf = StandardForm::build(model);
 
-    SimplexEngine cold(sf);
+    DenseTableauBackend cold(sf);
     ASSERT_EQ(cold.solve({}), SolveStatus::kOptimal) << "seed " << seed;
     const double cold_obj = cold.objective_value();
     const Basis snapshot = cold.snapshot_basis();
 
-    SimplexEngine warm(sf);
+    DenseTableauBackend warm(sf);
     warm.load_basis(snapshot);
     ASSERT_EQ(warm.solve({}), SolveStatus::kOptimal) << "seed " << seed;
     EXPECT_NEAR(warm.objective_value(), cold_obj,
@@ -111,7 +111,7 @@ TEST(BasisRoundtripProperty, ParentBasisUnderBranchBoundMatchesColdSolve) {
     const Model model = random_lp(dims.vars, dims.rows, seed * 104729);
     const StandardForm sf = StandardForm::build(model);
 
-    SimplexEngine parent(sf);
+    DenseTableauBackend parent(sf);
     ASSERT_EQ(parent.solve({}), SolveStatus::kOptimal) << "seed " << seed;
     const Basis snapshot = parent.snapshot_basis();
 
@@ -123,7 +123,7 @@ TEST(BasisRoundtripProperty, ParentBasisUnderBranchBoundMatchesColdSolve) {
     const double ub = down ? std::max(0.0, std::floor(value - 0.5)) : 10.0;
     if (lb > ub) continue;  // degenerate draw; branching never produces it
 
-    const auto solve_with_bounds = [&](SimplexEngine& engine,
+    const auto solve_with_bounds = [&](DenseTableauBackend& engine,
                                        const Basis* warm) {
       engine.set_column_bounds(j, lb, ub);
       if (warm != nullptr) {
@@ -134,9 +134,9 @@ TEST(BasisRoundtripProperty, ParentBasisUnderBranchBoundMatchesColdSolve) {
       return engine.solve({});
     };
 
-    SimplexEngine cold(sf);
+    DenseTableauBackend cold(sf);
     const SolveStatus cold_status = solve_with_bounds(cold, nullptr);
-    SimplexEngine warm(sf);
+    DenseTableauBackend warm(sf);
     const SolveStatus warm_status = solve_with_bounds(warm, &snapshot);
 
     ASSERT_EQ(warm_status, cold_status) << "seed " << seed;
@@ -163,15 +163,15 @@ TEST(BasisRoundtripProperty, ForeignBasisOfCompatibleShapeNeverWrong) {
     const StandardForm donor_sf = StandardForm::build(donor_model);
     const StandardForm target_sf = StandardForm::build(target_model);
 
-    SimplexEngine donor(donor_sf);
+    DenseTableauBackend donor(donor_sf);
     ASSERT_EQ(donor.solve({}), SolveStatus::kOptimal) << "seed " << seed;
     const Basis foreign = donor.snapshot_basis();
 
-    SimplexEngine cold(target_sf);
+    DenseTableauBackend cold(target_sf);
     ASSERT_EQ(cold.solve({}), SolveStatus::kOptimal) << "seed " << seed;
     const double cold_obj = cold.objective_value();
 
-    SimplexEngine warm(target_sf);
+    DenseTableauBackend warm(target_sf);
     warm.load_basis(foreign);
     SolveStatus status = warm.solve({});
     if (status != SolveStatus::kOptimal) {
@@ -238,7 +238,7 @@ Basis exchange(const StandardForm& sf, Basis base,
 
 /// Loads `basis` by refactorization: a zero-iteration solve records a
 /// refactor_interval of 0, which leaves load_basis no budget for swaps.
-void load_refactorized(SimplexEngine& engine, const Basis& basis) {
+void load_refactorized(DenseTableauBackend& engine, const Basis& basis) {
   SimplexOptions no_swaps;
   no_swaps.iteration_limit = 0;
   no_swaps.refactor_interval = 0;
@@ -249,8 +249,8 @@ void load_refactorized(SimplexEngine& engine, const Basis& basis) {
 /// Both engines hold the same basis, and agree within 1e-9 (relative) on
 /// the objective, every column value (x_B included) and every reduced
 /// cost.
-void expect_same_state(const StandardForm& sf, const SimplexEngine& a,
-                       const SimplexEngine& b, const std::string& where) {
+void expect_same_state(const StandardForm& sf, const DenseTableauBackend& a,
+                       const DenseTableauBackend& b, const std::string& where) {
   const Basis basis_a = a.snapshot_basis();
   const Basis basis_b = b.snapshot_basis();
   EXPECT_EQ(basis_a.basic_in_row, basis_b.basic_in_row) << where;
@@ -269,7 +269,8 @@ void expect_same_state(const StandardForm& sf, const SimplexEngine& a,
 
 /// Every nonbasic column sits on the bound its reduced cost prefers —
 /// the entry contract load_basis's dual repair restores.
-void expect_dual_feasible(const StandardForm& sf, const SimplexEngine& engine,
+void expect_dual_feasible(const StandardForm& sf,
+                          const DenseTableauBackend& engine,
                           const std::string& where) {
   for (Index j = 0; j < sf.num_cols(); ++j) {
     const double d = engine.reduced_cost(j);
@@ -317,7 +318,7 @@ TEST(BasisRoundtripProperty, SwapLoadMatchesRefactorizedLoad) {
     const StandardForm sf = StandardForm::build(model);
     const Index m = sf.num_rows;
 
-    SimplexEngine solved(sf);
+    DenseTableauBackend solved(sf);
     ASSERT_EQ(solved.solve({}), SolveStatus::kOptimal) << "seed " << seed;
     const Basis target = solved.snapshot_basis();
     std::vector<Index> nonbasic;
@@ -335,7 +336,7 @@ TEST(BasisRoundtripProperty, SwapLoadMatchesRefactorizedLoad) {
                                   (corrupt ? ", corrupted" : "");
         // An engine holding a nonsingular basis k columns away from the
         // target: redraw until refactorize() leaves the basis unrepaired.
-        SimplexEngine swapped(sf);
+        DenseTableauBackend swapped(sf);
         bool held = false;
         for (int attempt = 0; attempt < 20 && !held; ++attempt) {
           std::vector<Index> rows_out(static_cast<std::size_t>(m));
@@ -351,7 +352,7 @@ TEST(BasisRoundtripProperty, SwapLoadMatchesRefactorizedLoad) {
         }
         ASSERT_TRUE(held) << where;
 
-        SimplexEngine reference(sf);
+        DenseTableauBackend reference(sf);
         const std::int64_t swapped_before = swapped.stats().refactorizations;
         const std::int64_t reference_before =
             reference.stats().refactorizations;
@@ -396,7 +397,7 @@ TEST(BasisRoundtripProperty, TinySwapPivotFallsBackToRefactorization) {
     const Index r0 = sf.row_index[sf.col_start[0]];  // column 0 is nonzero
     const Index r1 = (r0 + 1) % sf.num_rows;
 
-    SimplexEngine swapped(sf);
+    DenseTableauBackend swapped(sf);
     const Basis logical = swapped.snapshot_basis();
     const Basis held = exchange(sf, logical, {r0}, {0});
     const Basis target = exchange(sf, held, {r1}, {twin});
@@ -410,7 +411,7 @@ TEST(BasisRoundtripProperty, TinySwapPivotFallsBackToRefactorization) {
     EXPECT_NE(swapped.snapshot_basis().basic_in_row, target.basic_in_row)
         << "seed " << seed << ": the singular target was not repaired";
 
-    SimplexEngine reference(sf);
+    DenseTableauBackend reference(sf);
     load_refactorized(reference, target);
     expect_same_state(sf, swapped, reference, "seed " + std::to_string(seed));
     ++checked;

@@ -1,10 +1,10 @@
-// The lu.refactor:singular fault point on the dense engine, the engine
-// behind every default solve and the service.  Armed, the next
+// The lu.refactor:singular fault point on the LP engine.  Armed, the next
 // refactorization reads its first structural basis column as all zeros,
 // so the basis repair evicts that column for a logical — the path a
 // genuinely dependent column takes.  The repair moves the duals, so the
 // engine must restore dual feasibility before the dual simplex resumes;
-// the solve then has to reach the same optimum as an unarmed one.
+// the solve then has to reach the same optimum as an unarmed one, and
+// certify it.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,6 +16,7 @@
 #include "lp/model.hpp"
 #include "lp/simplex.hpp"
 #include "lp/standard_form.hpp"
+#include "lp_certificate.hpp"
 #include "support/fault.hpp"
 #include "support/rng.hpp"
 
@@ -78,6 +79,7 @@ TEST_F(DenseRefactorFault, RepairedBasisReoptimizesToTheSameVertex) {
     const StandardForm sf = StandardForm::build(model);
     DenseTableauBackend engine(sf);
     ASSERT_EQ(engine.solve({}), SolveStatus::kOptimal) << "seed " << seed;
+    EXPECT_TRUE(certificate::certify_optimal(sf, engine)) << "seed " << seed;
     const double objective = engine.objective_value();
     const std::vector<double> x = engine.structural_solution();
 
@@ -97,6 +99,7 @@ TEST_F(DenseRefactorFault, RepairedBasisReoptimizesToTheSameVertex) {
     ASSERT_EQ(engine.solve({.refactor_interval = 0}), SolveStatus::kOptimal)
         << "seed " << seed;
     EXPECT_EQ(fires(), 1) << "seed " << seed;
+    EXPECT_TRUE(certificate::certify_optimal(sf, engine)) << "seed " << seed;
     EXPECT_GT(engine.stats().iterations, pivots_before)
         << "seed " << seed << ": the repair did not move the basis";
     EXPECT_EQ(engine.column_status(evicted), VStat::kBasic)
@@ -120,7 +123,6 @@ TEST_F(DenseRefactorFault, ArmedMipSolveProvesTheUnarmedOptimum) {
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     const Model model = packing_model(20, 10, seed * 7919, VarType::kInteger);
     ilp::MipOptions options;
-    options.lp_engine = LpEngine::kDense;
     options.rel_gap = 0.0;
     options.abs_gap = 0.5;  // exact: the objectives are integers
     options.simplex.refactor_interval = 8;

@@ -249,12 +249,12 @@ TEST(Simplex, BasisSnapshotRoundTrip) {
   e.add(y, 1.0);
   m.add_constraint(e, Sense::kEqual, 10);
   const StandardForm sf = StandardForm::build(m);
-  SimplexEngine engine(sf);
+  DenseTableauBackend engine(sf);
   ASSERT_EQ(engine.solve({}), SolveStatus::kOptimal);
   const double obj = engine.objective_value();
   const Basis basis = engine.snapshot_basis();
 
-  SimplexEngine other(sf);
+  DenseTableauBackend other(sf);
   other.load_basis(basis);
   ASSERT_EQ(other.solve({}), SolveStatus::kOptimal);
   EXPECT_NEAR(other.objective_value(), obj, 1e-9);
@@ -272,7 +272,7 @@ TEST(Simplex, BoundChangeWarmRestart) {
   e.add(y, 1.0);
   m.add_constraint(e, Sense::kLessEqual, 12);
   const StandardForm sf = StandardForm::build(m);
-  SimplexEngine engine(sf);
+  DenseTableauBackend engine(sf);
   ASSERT_EQ(engine.solve({}), SolveStatus::kOptimal);
   EXPECT_NEAR(engine.objective_value(), -22.0, 1e-9);  // x=10, y=2
 
@@ -296,7 +296,8 @@ TEST(Simplex, BoundChangeWarmRestart) {
 
 /// ||B * B^{-1} - I||_inf (largest absolute row sum) over the engine's
 /// current basis, with B assembled from the standard form's columns.
-double inverse_residual(const StandardForm& sf, const SimplexEngine& engine) {
+double inverse_residual(const StandardForm& sf,
+                        const DenseTableauBackend& engine) {
   const Index m = sf.num_rows;
   const std::vector<Index> basic = engine.snapshot_basis().basic_in_row;
   const std::vector<double>& inv = engine.basis_inverse();
@@ -383,7 +384,7 @@ TEST(Simplex, RefactorizedInverseTimesBasisIsIdentity) {
     basis.status.assign(static_cast<std::size_t>(n), VStat::kAtLower);
     for (const Index j : basis.basic_in_row) basis.status[j] = VStat::kBasic;
 
-    SimplexEngine engine(sf);
+    DenseTableauBackend engine(sf);
     engine.load_basis(basis);
     ASSERT_EQ(engine.stats().refactorizations, 1) << "seed " << seed;
     if (engine.snapshot_basis().basic_in_row == basis.basic_in_row) {

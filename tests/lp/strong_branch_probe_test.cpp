@@ -1,5 +1,5 @@
-// The strong-branch probe round trip at the lp::LpBackend level, on both
-// engines.  Reliability branching probes a branch-and-bound node by
+// The strong-branch probe round trip at the LP engine level.  Reliability
+// branching probes a branch-and-bound node by
 //
 //   snapshot -> bound change -> capped dual solve -> bound restore ->
 //   load_basis(snapshot)
@@ -9,18 +9,18 @@
 // found it: the same basic set and statuses, the objective and every
 // structural value within 1e-9 (relative), and a re-solve that needs no
 // pivot.  Probes run back to back at one node, as in the search; the
-// dense engine reaches the snapshot by column swaps or, after a long
-// probe, by refactorization, the sparse one always refactorizes.
+// engine reaches the snapshot by column swaps or, after a long probe, by
+// refactorization.  The final re-solve's optimum is certified.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "lp/lp_backend.hpp"
 #include "lp/model.hpp"
+#include "lp/simplex.hpp"
 #include "lp/standard_form.hpp"
+#include "lp_certificate.hpp"
 #include "support/rng.hpp"
 
 namespace gmm::lp {
@@ -62,12 +62,12 @@ struct NodeState {
   std::vector<double> x;
 };
 
-NodeState capture(const LpBackend& engine) {
+NodeState capture(const DenseTableauBackend& engine) {
   return {engine.snapshot_basis(), engine.objective_value(),
           engine.structural_solution()};
 }
 
-void expect_restored(const NodeState& node, const LpBackend& engine,
+void expect_restored(const NodeState& node, const DenseTableauBackend& engine,
                      const std::string& where) {
   const Basis basis = engine.snapshot_basis();
   EXPECT_EQ(basis.basic_in_row, node.basis.basic_in_row) << where;
@@ -85,7 +85,7 @@ void expect_restored(const NodeState& node, const LpBackend& engine,
 
 /// One probe: tighten `j` to [lb, ub], dual-solve for at most `cap`
 /// pivots, restore the node's bounds and basis.
-SolveStatus probe(LpBackend& engine, const Basis& node_basis, Index j,
+SolveStatus probe(DenseTableauBackend& engine, const Basis& node_basis, Index j,
                   double lb, double ub, std::int64_t cap) {
   const double node_lb = engine.column_lb(j);
   const double node_ub = engine.column_ub(j);
@@ -99,7 +99,7 @@ SolveStatus probe(LpBackend& engine, const Basis& node_basis, Index j,
   return status;
 }
 
-void run_probes(LpEngine kind) {
+TEST(StrongBranchProbe, RestoreIsExactOnDenseEngine) {
   int probes = 0;
   int capped = 0;
   int infeasible = 0;
@@ -109,7 +109,7 @@ void run_probes(LpEngine kind) {
     const int vars = static_cast<int>(rng.uniform_int(rows, 2 * rows));
     const Model model = random_mip(vars, rows, seed * 8191);
     const StandardForm sf = StandardForm::build(model);
-    std::unique_ptr<LpBackend> engine = make_lp_backend(kind, sf);
+    DenseTableauBackend engine(sf);
 
     // The node: up to three earlier branchings, each a sub-box of a
     // random integer column.
@@ -117,13 +117,13 @@ void run_probes(LpEngine kind) {
     for (int k = 0; k < depth; ++k) {
       const Index j = static_cast<Index>(rng.uniform_int(0, vars - 1));
       const double lb = static_cast<double>(rng.uniform_int(0, 5));
-      engine->set_column_bounds(
+      engine.set_column_bounds(
           j, lb, lb + static_cast<double>(rng.uniform_int(0, 5)));
     }
-    engine->refresh_basic_solution();
-    if (engine->solve({}) != SolveStatus::kOptimal) continue;
+    engine.refresh_basic_solution();
+    if (engine.solve({}) != SolveStatus::kOptimal) continue;
 
-    const NodeState node = capture(*engine);
+    const NodeState node = capture(engine);
     for (Index j = 0; j < vars; ++j) {
       const double value = node.x[static_cast<std::size_t>(j)];
       if (std::abs(value - std::round(value)) < 1e-6) continue;
@@ -131,36 +131,28 @@ void run_probes(LpEngine kind) {
       for (const bool up : {false, true}) {
         const std::int64_t cap = kCaps[rng.uniform_int(0, 2)];
         const SolveStatus status =
-            up ? probe(*engine, node.basis, j, floor_v + 1.0, 10.0, cap)
-               : probe(*engine, node.basis, j, 0.0, floor_v, cap);
+            up ? probe(engine, node.basis, j, floor_v + 1.0, 10.0, cap)
+               : probe(engine, node.basis, j, 0.0, floor_v, cap);
         ++probes;
         capped += status == SolveStatus::kIterationLimit ? 1 : 0;
         infeasible += status == SolveStatus::kInfeasible ? 1 : 0;
-        expect_restored(node, *engine,
-                        std::string(to_string(kind)) + " seed " +
-                            std::to_string(seed) + ", column " +
+        expect_restored(node, engine,
+                        "seed " + std::to_string(seed) + ", column " +
                             std::to_string(j) + (up ? " up" : " down") +
                             ", cap " + std::to_string(cap));
       }
     }
     // Back on the node's optimum: nothing left to pivot.
-    const std::int64_t before = engine->stats().iterations;
-    ASSERT_EQ(engine->solve({}), SolveStatus::kOptimal) << "seed " << seed;
-    EXPECT_EQ(engine->stats().iterations, before) << "seed " << seed;
+    const std::int64_t before = engine.stats().iterations;
+    ASSERT_EQ(engine.solve({}), SolveStatus::kOptimal) << "seed " << seed;
+    EXPECT_EQ(engine.stats().iterations, before) << "seed " << seed;
+    EXPECT_TRUE(certificate::certify_optimal(sf, engine)) << "seed " << seed;
   }
   // The corpus exercises capped, infeasible and completed probes.
   EXPECT_GT(probes, 300);
   EXPECT_GT(capped, 0);
   EXPECT_GT(infeasible, 0);
   EXPECT_GT(probes - capped - infeasible, 0);
-}
-
-TEST(StrongBranchProbe, RestoreIsExactOnDenseEngine) {
-  run_probes(LpEngine::kDense);
-}
-
-TEST(StrongBranchProbe, RestoreIsExactOnSparseEngine) {
-  run_probes(LpEngine::kSparse);
 }
 
 }  // namespace
