@@ -10,7 +10,8 @@
 // Service tests: an exact resubmission (even permuted and renamed)
 // replays from the cache with "cached" set and an identical objective; a
 // traffic-only mutation takes the incremental near-miss path; no_cache
-// bypasses; and the hit/miss/bypass accounting always sums to the
+// bypasses; a replay that fails re-verification is poisoned and answered
+// by a cold solve; and the hit/miss/bypass accounting always sums to the
 // accepted-request count.
 #include "service/solution_cache.hpp"
 
@@ -26,6 +27,7 @@
 #include "design/design.hpp"
 #include "design/design_io.hpp"
 #include "service/mapping_service.hpp"
+#include "support/fault.hpp"
 #include "support/rng.hpp"
 #include "workload/workload_gen.hpp"
 
@@ -520,6 +522,56 @@ TEST(SolutionCacheService, NearMissStillFiresAfterExactHitTouchedTheEntry) {
   EXPECT_EQ(stats.cache.near_misses, 2);
   EXPECT_EQ(stats.cache.hits + stats.cache.misses + stats.cache.bypasses,
             stats.accepted);
+}
+
+/// Leaves the process-global fault injector disarmed, pass or fail.
+class SolutionCacheServiceFaults : public ::testing::Test {
+ protected:
+  void TearDown() override { support::global_faults().disarm(); }
+};
+
+TEST_F(SolutionCacheServiceFaults, VerifyFailPoisonsEntryAndSolvesCold) {
+  Collector out;
+  MappingService service({test_board()}, {.workers = 1}, out.sink());
+  service.handle(map_request("cold", demo_design_text()));
+  service.drain();
+
+  // The resubmission finds the entry, its replay "fails" verification:
+  // the entry is erased, a cold solve answers, and its proved result is
+  // inserted again.
+  std::string error;
+  ASSERT_TRUE(
+      support::global_faults().arm("seed=1,cache.verify:corrupt@once", error))
+      << error;
+  service.handle(map_request("poisoned", demo_design_text()));
+  service.drain();
+  support::global_faults().disarm();
+  service.handle(map_request("again", demo_design_text()));
+  service.drain();
+
+  const Response cold = out.only("cold");
+  const Response poisoned = out.only("poisoned");
+  const Response again = out.only("again");
+  ASSERT_EQ(cold.status, ResponseStatus::kOk) << cold.error;
+  ASSERT_EQ(poisoned.status, ResponseStatus::kOk) << poisoned.error;
+  ASSERT_EQ(again.status, ResponseStatus::kOk) << again.error;
+  EXPECT_FALSE(poisoned.cached);
+  EXPECT_DOUBLE_EQ(poisoned.objective, cold.objective);
+  EXPECT_EQ(poisoned.degraded, 0);  // on the wire as "degraded":false
+  EXPECT_EQ(cold.degraded, -1);
+  EXPECT_TRUE(again.cached);
+  EXPECT_DOUBLE_EQ(again.objective, cold.objective);
+
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.cache.verify_fails, 1);
+  EXPECT_EQ(stats.cache.hits, 1);
+  EXPECT_EQ(stats.cache.misses, 2);
+  EXPECT_EQ(stats.cache.near_misses, 0);
+  EXPECT_EQ(stats.cache.insertions, 2);
+  EXPECT_EQ(stats.cache.entries, 1);
+  EXPECT_EQ(stats.solves, 2);
+  EXPECT_EQ(stats.cache.hits + stats.cache.misses + stats.cache.bypasses,
+            stats.completed);
 }
 
 TEST(SolutionCacheService, DifferentGapContractsNeverShareEntries) {
