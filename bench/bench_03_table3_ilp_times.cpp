@@ -103,12 +103,13 @@ int main() {
         options.mip.num_threads = threads;
         options.mip.time_limit_seconds = sweep_limit;
         support::WallTimer timer;
-        const mapping::CompleteResult r = mapping::map_complete(
+        const mapping::Outcome r = mapping::map_complete(
             instance.design, instance.board, cost_table, options);
         return bench::SweepOutcome{
             .seconds = timer.seconds(),
             .nodes = r.mip.nodes,
             .lp_iterations = r.mip.lp_iterations,
+            .refactorizations = r.mip.simplex_refactorizations,
             .objective = r.mip.has_incumbent() ? r.mip.objective : -1.0,
             .status = lp::to_string(r.status),
             .basis = r.mip.basis};
@@ -132,12 +133,13 @@ int main() {
         options.mip.max_stored_bases = max_stored_bases;
         options.mip.time_limit_seconds = sweep_limit;
         support::WallTimer timer;
-        const mapping::CompleteResult r = mapping::map_complete(
+        const mapping::Outcome r = mapping::map_complete(
             instance.design, instance.board, cost_table, options);
         return bench::SweepOutcome{
             .seconds = timer.seconds(),
             .nodes = r.mip.nodes,
             .lp_iterations = r.mip.lp_iterations,
+            .refactorizations = r.mip.simplex_refactorizations,
             .objective = r.mip.has_incumbent() ? r.mip.objective : -1.0,
             .status = lp::to_string(r.status),
             .basis = r.mip.basis};

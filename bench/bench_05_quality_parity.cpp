@@ -36,12 +36,12 @@ int main() {
       const double limit = std::min(60.0, bench::env_time_limit());
       mapping::PipelineOptions pipeline_options;
       pipeline_options.global.mip.time_limit_seconds = limit;
-      const mapping::PipelineResult pipeline = mapping::map_pipeline(
+      const mapping::Outcome pipeline = mapping::map_pipeline(
           instance.design, instance.board, pipeline_options);
 
       mapping::CompleteOptions complete_options;
       complete_options.mip.time_limit_seconds = limit;
-      const mapping::CompleteResult complete = mapping::map_complete(
+      const mapping::Outcome complete = mapping::map_complete(
           instance.design, instance.board, cost_table, complete_options);
 
       const mapping::GreedyResult greedy =

@@ -37,7 +37,7 @@ int main() {
         table.add_row({std::to_string(point.index), std::to_string(seed),
                        why, "-", "-", "-", "-", "-"});
       };
-      const mapping::PipelineResult pipeline =
+      const mapping::Outcome pipeline =
           mapping::map_pipeline(instance.design, instance.board);
       if (pipeline.status != lp::SolveStatus::kOptimal ||
           !pipeline.detailed.success) {

@@ -44,7 +44,7 @@ int main() {
     mapping::PipelineOptions options;
     options.global.weights = c.weights;
     options.global.mip.time_limit_seconds = bench::env_time_limit();
-    const mapping::PipelineResult r =
+    const mapping::Outcome r =
         mapping::map_pipeline(instance.design, instance.board, options);
     if (r.status != lp::SolveStatus::kOptimal) {
       table.add_row({c.name, lp::to_string(r.status), "-", "-", "-", "-",

@@ -56,7 +56,7 @@ int main() {
     options.mip.use_presolve = presolve;
     options.mip.time_limit_seconds = limit;
     support::WallTimer timer;
-    const mapping::GlobalResult r =
+    const mapping::Outcome r =
         mapping::map_global(instance.design, instance.board, table, options);
     out.add_row({name, lp::to_string(r.status),
                  r.mip.has_incumbent()
@@ -77,7 +77,7 @@ int main() {
     options.mip.use_presolve = presolve;
     options.mip.time_limit_seconds = limit;
     support::WallTimer timer;
-    const mapping::CompleteResult r = mapping::map_complete(
+    const mapping::Outcome r = mapping::map_complete(
         instance.design, instance.board, table, options);
     out.add_row({name, lp::to_string(r.status),
                  r.mip.has_incumbent()

@@ -176,6 +176,8 @@ int run_sweep() {
     return bench::SweepOutcome{.seconds = timer.seconds(),
                                .nodes = r.nodes,
                                .lp_iterations = r.lp_iterations,
+                               .refactorizations =
+                                   r.simplex_refactorizations,
                                .objective = r.objective,
                                .status = lp::to_string(r.status),
                                .basis = r.basis};
@@ -203,12 +205,13 @@ int run_sweep() {
         options.mip.max_stored_bases = max_stored_bases;
         options.mip.time_limit_seconds = std::min(30.0, bench::env_time_limit());
         support::WallTimer timer;
-        const mapping::CompleteResult r = mapping::map_complete(
+        const mapping::Outcome r = mapping::map_complete(
             instance.design, instance.board, cost_table, options);
         return bench::SweepOutcome{
             .seconds = timer.seconds(),
             .nodes = r.mip.nodes,
             .lp_iterations = r.mip.lp_iterations,
+            .refactorizations = r.mip.simplex_refactorizations,
             .objective = r.mip.has_incumbent() ? r.mip.objective : -1.0,
             .status = lp::to_string(r.status),
             .basis = r.mip.basis};

@@ -31,7 +31,7 @@ int main() {
     for (const std::uint64_t seed : {2001ull, 7ull}) {
       const workload::Table3Instance instance =
           workload::build_instance(point, seed);
-      const mapping::PipelineResult pipeline =
+      const mapping::Outcome pipeline =
           mapping::map_pipeline(instance.design, instance.board);
       if (pipeline.status != lp::SolveStatus::kOptimal) continue;
       const mapping::CostTable cost_table(instance.design, instance.board);

@@ -84,28 +84,28 @@ int main() {
     const arch::Board board =
         devices == 1 ? base : arch::split_across_devices(base, devices);
     support::WallTimer timer;
-    const mapping::ShardResult r = mapping::map_sharded(design, board);
+    const mapping::Outcome r = mapping::map_sharded(design, board);
     const double seconds = timer.seconds();
     const bool ok = r.status == lp::SolveStatus::kOptimal ||
                     r.status == lp::SolveStatus::kFeasible;
     if (!ok) exit_code = 1;
     std::printf("%8d %10.3f %12.0f %12.0f %7d %10lld %7d %10lld  %s\n",
-                devices, seconds, r.objective, r.stats.stitch_cost,
-                r.stats.shards, static_cast<long long>(r.stats.cut_edges),
-                r.stats.repair_rounds,
-                static_cast<long long>(r.stats.candidate_solves),
+                devices, seconds, r.assignment.objective, r.shard.stitch_cost,
+                r.shard.shards, static_cast<long long>(r.shard.cut_edges),
+                r.shard.repair_rounds,
+                static_cast<long long>(r.shard.candidate_solves),
                 lp::to_string(r.status));
     json.write("device_sweep",
                {bench::jint("devices", devices),
                 bench::jnum("seconds", seconds),
-                bench::jnum("objective", r.objective),
-                bench::jnum("stitch_cost", r.stats.stitch_cost),
-                bench::jint("shards", r.stats.shards),
-                bench::jint("cut_edges", r.stats.cut_edges),
-                bench::jint("repair_rounds", r.stats.repair_rounds),
-                bench::jint("migrations", r.stats.migrations),
-                bench::jint("candidate_solves", r.stats.candidate_solves),
-                bench::jnum("stitch_seconds", r.stats.stitch_seconds),
+                bench::jnum("objective", r.assignment.objective),
+                bench::jnum("stitch_cost", r.shard.stitch_cost),
+                bench::jint("shards", r.shard.shards),
+                bench::jint("cut_edges", r.shard.cut_edges),
+                bench::jint("repair_rounds", r.shard.repair_rounds),
+                bench::jint("migrations", r.shard.migrations),
+                bench::jint("candidate_solves", r.shard.candidate_solves),
+                bench::jnum("stitch_seconds", r.shard.stitch_seconds),
                 bench::jint("bnb_nodes", r.effort.bnb_nodes),
                 bench::jstr("status", lp::to_string(r.status))});
   }

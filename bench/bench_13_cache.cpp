@@ -150,12 +150,12 @@ int main() {
   // skipped (parts (a)/(b) need a proved baseline in sane wall clock).
   std::uint64_t hard_salt = 0;
   std::int64_t hard_nodes = -1;
-  mapping::PipelineResult prior;  // exact base solve of the hard instance
+  mapping::Outcome prior;  // exact base solve of the hard instance
   {
     mapping::PipelineOptions probe_options = exact;
     probe_options.global.mip.time_limit_seconds = 5.0;
     for (std::int64_t salt = 0; salt < probes; ++salt) {
-      const mapping::PipelineResult r = mapping::map_pipeline(
+      const mapping::Outcome r = mapping::map_pipeline(
           base_design(static_cast<std::uint64_t>(salt)), board,
           probe_options);
       if (r.status != lp::SolveStatus::kOptimal) continue;
@@ -245,7 +245,7 @@ int main() {
       // mapping is a different problem, not an incremental one.
       const design::Design mutant =
           traffic_mutant(base, static_cast<int>(k), 10 * (k + 1));
-      const mapping::PipelineResult cold =
+      const mapping::Outcome cold =
           mapping::map_pipeline(mutant, board, exact);
       // The service's near-miss configuration: MIP start from the prior
       // mapping, every traffic-unchanged structure pinned in place, and

@@ -162,23 +162,25 @@ void run_thread_sweep(BenchJson& json, const std::string& record,
     }
   }
 
-  std::printf("%8s %10s %10s %12s %14s %12s %9s %11s\n", "threads",
+  std::printf("%8s %10s %10s %12s %14s %10s %12s %9s %11s\n", "threads",
               "seconds", "speedup", "B&B nodes", "LP iterations",
-              "objective", "hit rate", "pivots/pop");
+              "refactors", "objective", "hit rate", "pivots/pop");
   for (std::size_t i = 0; i < counts.size(); ++i) {
     const SweepOutcome& o = outcomes[i];
     const double speedup = o.seconds > 0 ? baseline / o.seconds : 0.0;
-    std::printf("%8d %10.3f %9.2fx %12lld %14lld %12.0f %8.0f%% %11.1f\n",
-                counts[i], o.seconds, speedup,
-                static_cast<long long>(o.nodes),
-                static_cast<long long>(o.lp_iterations), o.objective,
-                100.0 * o.basis.hit_rate(), o.basis.pivots_per_pop());
+    std::printf(
+        "%8d %10.3f %9.2fx %12lld %14lld %10lld %12.0f %8.0f%% %11.1f\n",
+        counts[i], o.seconds, speedup, static_cast<long long>(o.nodes),
+        static_cast<long long>(o.lp_iterations),
+        static_cast<long long>(o.refactorizations), o.objective,
+        100.0 * o.basis.hit_rate(), o.basis.pivots_per_pop());
     std::vector<JsonField> fields = extra_fields;
     fields.push_back(jint("threads", counts[i]));
     fields.push_back(jnum("seconds", o.seconds));
     fields.push_back(jnum("speedup", speedup));
     fields.push_back(jint("nodes", o.nodes));
     fields.push_back(jint("lp_iterations", o.lp_iterations));
+    fields.push_back(jint("refactorizations", o.refactorizations));
     fields.push_back(jnum("objective", o.objective));
     fields.push_back(jstr("status", o.status));
     for (JsonField& field : basis_fields(o.basis)) {
@@ -204,22 +206,24 @@ void run_basis_warm_cold_ab(
     BenchJson& json, const std::string& record,
     const std::vector<JsonField>& extra_fields,
     const std::function<SweepOutcome(std::size_t max_stored_bases)>& solve) {
-  std::printf("%8s %10s %12s %10s %10s %11s %12s\n", "cache", "seconds",
-              "B&B nodes", "warm pops", "cold pops", "pivots/pop",
-              "objective");
+  std::printf("%8s %10s %12s %10s %10s %11s %10s %12s\n", "cache",
+              "seconds", "B&B nodes", "warm pops", "cold pops", "pivots/pop",
+              "refactors", "objective");
   for (const bool warm : {true, false}) {
     const SweepOutcome o = solve(warm ? std::size_t{4096} : std::size_t{0});
-    std::printf("%8s %10.3f %12lld %10lld %10lld %11.1f %12.0f\n",
+    std::printf("%8s %10.3f %12lld %10lld %10lld %11.1f %10lld %12.0f\n",
                 warm ? "on" : "off", o.seconds,
                 static_cast<long long>(o.nodes),
                 static_cast<long long>(o.basis.loaded),
                 static_cast<long long>(o.basis.cold_pops),
-                o.basis.pivots_per_pop(), o.objective);
+                o.basis.pivots_per_pop(),
+                static_cast<long long>(o.refactorizations), o.objective);
     std::vector<JsonField> fields = extra_fields;
     fields.push_back(jstr("basis_cache", warm ? "on" : "off"));
     fields.push_back(jnum("seconds", o.seconds));
     fields.push_back(jint("nodes", o.nodes));
     fields.push_back(jint("lp_iterations", o.lp_iterations));
+    fields.push_back(jint("refactorizations", o.refactorizations));
     fields.push_back(jnum("objective", o.objective));
     fields.push_back(jstr("status", o.status));
     for (JsonField& field : basis_fields(o.basis)) {
@@ -313,7 +317,7 @@ std::vector<Table3Row> run_or_load_table3_sweep() {
     support::WallTimer timer;
     mapping::PipelineOptions pipeline_options;
     pipeline_options.global.mip.time_limit_seconds = env_time_limit();
-    const mapping::PipelineResult pipeline =
+    const mapping::Outcome pipeline =
         mapping::map_pipeline(instance.design, instance.board,
                               pipeline_options);
     row.global_seconds = timer.seconds();
@@ -326,7 +330,7 @@ std::vector<Table3Row> run_or_load_table3_sweep() {
     const mapping::CostTable table(instance.design, instance.board);
     mapping::CompleteOptions complete_options;
     complete_options.mip.time_limit_seconds = env_time_limit();
-    const mapping::CompleteResult complete = mapping::map_complete(
+    const mapping::Outcome complete = mapping::map_complete(
         instance.design, instance.board, table, complete_options);
     row.complete_seconds = timer.seconds();
     row.complete_status = lp::to_string(complete.status);

@@ -54,6 +54,9 @@ struct SweepOutcome {
   double seconds = 0.0;
   std::int64_t nodes = 0;
   std::int64_t lp_iterations = 0;
+  /// LP basis refactorizations (MipResult::simplex_refactorizations), so
+  /// the sweeps report pivots against refactorizations.
+  std::int64_t refactorizations = 0;
   double objective = 0.0;
   std::string status;
   /// Basis warm-start cache counters of the solve (MipResult::basis);
@@ -103,7 +106,8 @@ class BenchJson {
 
 /// Run `solve(threads)` for every env_thread_sweep() count, print an
 /// aligned table and mirror one JSON record per count (threads, seconds,
-/// speedup, nodes, lp_iterations, objective, status + `extra_fields`).
+/// speedup, nodes, lp_iterations, refactorizations, objective, status +
+/// `extra_fields`).
 /// The speedup baseline is the 1-thread entry wherever it appears in the
 /// sweep, or the first entry when the sweep omits 1.
 void run_thread_sweep(BenchJson& json, const std::string& record,

@@ -43,7 +43,7 @@ int main() {
 
   for (const arch::DeviceInfo& info : arch::device_catalog()) {
     const arch::Board board = arch::single_fpga_board(info.device, 4);
-    const mapping::PipelineResult r = mapping::map_pipeline(design, board);
+    const mapping::Outcome r = mapping::map_pipeline(design, board);
     std::string objective = "-";
     std::string onchip = "-";
     if (r.status == lp::SolveStatus::kOptimal) {

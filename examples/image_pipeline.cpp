@@ -66,7 +66,7 @@ int main() {
               design.size(), design.num_conflicts(),
               design.size() * (design.size() - 1) / 2);
 
-  const mapping::PipelineResult result = mapping::map_pipeline(design, board);
+  const mapping::Outcome result = mapping::map_pipeline(design, board);
   if (result.status != lp::SolveStatus::kOptimal ||
       !result.detailed.success) {
     std::printf("mapping failed (%s)\n", lp::to_string(result.status));
@@ -114,7 +114,7 @@ int main() {
   // footprints the simulator observed, remap, and re-simulate.
   const design::Design profiled =
       sim::with_trace_footprints(design, trace);
-  const mapping::PipelineResult remapped =
+  const mapping::Outcome remapped =
       mapping::map_pipeline(profiled, board);
   if (remapped.status == lp::SolveStatus::kOptimal &&
       remapped.detailed.success) {

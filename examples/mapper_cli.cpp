@@ -19,13 +19,14 @@
 //                  files are given
 //
 // Reads the text formats of arch_io/design_io (see examples/data/ for
-// samples), runs the requested mapper, and prints the assignment,
-// placements and solve statistics.  Batch mode parses the board once and
-// shares it read-only across every concurrent pipeline — the serving
-// pattern for many mapping requests against one device catalog.
-// Multi-device boards route through mapping::map_sharded (partition ->
-// per-device ILP fan-out -> stitch ILP) and report the per-structure
-// device placement plus the stitch transfer cost.
+// samples), maps through the mapping::solve() formulation dispatch the
+// service shares, and prints the assignment, placements and solve
+// statistics.  Batch mode parses the board once and shares it read-only
+// across every concurrent pipeline — the serving pattern for many
+// mapping requests against one device catalog.  Multi-device boards use
+// the sharded formulation (partition -> per-device ILP fan-out -> stitch
+// ILP) and report the per-structure device placement plus the stitch
+// transfer cost.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -36,14 +37,12 @@
 
 #include "arch/arch_io.hpp"
 #include "design/design_io.hpp"
-#include "mapping/batch_mapper.hpp"
-#include "mapping/complete_mapper.hpp"
-#include "mapping/pipeline.hpp"
-#include "mapping/shard_mapper.hpp"
+#include "mapping/solve.hpp"
 #include "mapping/validate.hpp"
 #include "report/placement_report.hpp"
 #include "report/text_table.hpp"
 #include "support/string_util.hpp"
+#include "support/thread_pool.hpp"
 #include "support/timer.hpp"
 
 namespace {
@@ -65,27 +64,18 @@ bool parse_count(const char* text, int& out) {
   return true;
 }
 
-struct ParsedDesign {
-  std::string path;
-  gmm::design::Design design;
-};
-
 int report_single(const gmm::arch::Board& board,
                   const gmm::design::Design& design, const char* label,
-                  bool csv, bool memory_map,
-                  const gmm::mapping::GlobalAssignment& assignment,
-                  const gmm::mapping::DetailedMapping& detailed,
-                  const gmm::mapping::SolveEffort& effort,
-                  gmm::lp::SolveStatus status,
-                  const std::vector<int>* device_of = nullptr) {
+                  bool csv, bool memory_map, const gmm::mapping::Outcome& r,
+                  bool show_devices) {
   using namespace gmm;
-  if (status != lp::SolveStatus::kOptimal &&
-      status != lp::SolveStatus::kFeasible) {
-    std::fprintf(stderr, "mapping failed: %s\n", lp::to_string(status));
+  if (r.status != lp::SolveStatus::kOptimal &&
+      r.status != lp::SolveStatus::kFeasible) {
+    std::fprintf(stderr, "mapping failed: %s\n", lp::to_string(r.status));
     return 1;
   }
   const auto violations =
-      mapping::validate_mapping(design, board, assignment, detailed);
+      mapping::validate_mapping(design, board, r.assignment, r.detailed);
   if (!violations.empty()) {
     std::fprintf(stderr, "mapping produced %zu legality violations!\n",
                  violations.size());
@@ -98,7 +88,7 @@ int report_single(const gmm::arch::Board& board,
   if (csv) {
     std::printf("structure,type,instance,first_port,ports,config,offset_bits,"
                 "block_bits,kind\n");
-    for (const mapping::PlacedFragment& f : detailed.fragments) {
+    for (const mapping::PlacedFragment& f : r.detailed.fragments) {
       const arch::BankType& type = board.type(f.type);
       std::printf("%s,%s,%lld,%lld,%lld,%s,%lld,%lld,%s\n",
                   design.at(f.ds).name.c_str(), type.name.c_str(),
@@ -115,23 +105,23 @@ int report_single(const gmm::arch::Board& board,
 
   std::printf("%s mapping of '%s' onto '%s': %s, objective %.0f (%.3fs)\n\n",
               label, design.name().c_str(), board.name().c_str(),
-              lp::to_string(status), assignment.objective,
-              effort.total_seconds());
+              lp::to_string(r.status), r.assignment.objective,
+              r.effort.total_seconds());
   std::vector<std::string> headers = {"Structure", "Depth x Width",
                                       "Bank type", "Fragments"};
-  if (device_of != nullptr) headers.insert(headers.begin() + 2, "Device");
+  if (show_devices) headers.insert(headers.begin() + 2, "Device");
   report::TextTable table(headers);
   table.set_alignment(0, report::Align::kLeft);
   table.set_alignment(2, report::Align::kLeft);
-  if (device_of != nullptr) table.set_alignment(3, report::Align::kLeft);
+  if (show_devices) table.set_alignment(3, report::Align::kLeft);
   for (std::size_t d = 0; d < design.size(); ++d) {
     const design::DataStructure& ds = design.at(d);
     std::vector<std::string> row = {
         ds.name, std::to_string(ds.depth) + "x" + std::to_string(ds.width),
-        board.type(static_cast<std::size_t>(assignment.type_of[d])).name,
-        std::to_string(detailed.fragment_count(d))};
-    if (device_of != nullptr) {
-      const int dev = (*device_of)[d];
+        board.type(static_cast<std::size_t>(r.assignment.type_of[d])).name,
+        std::to_string(r.detailed.fragment_count(d))};
+    if (show_devices) {
+      const int dev = r.device_of[d];
       row.insert(row.begin() + 2,
                  dev < 0 ? "-"
                          : board.device(static_cast<std::size_t>(dev)).name);
@@ -141,7 +131,7 @@ int report_single(const gmm::arch::Board& board,
   table.print(std::cout);
   if (memory_map) {
     std::printf("\n");
-    report::write_placement_report(std::cout, design, board, detailed);
+    report::write_placement_report(std::cout, design, board, r.detailed);
   }
   return 0;
 }
@@ -205,7 +195,7 @@ int main(int argc, char** argv) {
     board = arch::split_across_devices(board, devices);
   }
 
-  std::vector<ParsedDesign> designs;
+  std::vector<design::Design> designs;
   for (std::size_t i = 1; i < positional.size(); ++i) {
     std::ifstream design_file(positional[i]);
     if (!design_file) {
@@ -217,52 +207,37 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s: %s\n", positional[i], parsed.error.c_str());
       return 1;
     }
-    designs.push_back({positional[i], std::move(parsed.design)});
+    designs.push_back(std::move(parsed.design));
   }
 
-  mapping::PipelineOptions pipeline_options;
-  pipeline_options.global.mip.num_threads = threads;
+  ilp::MipOptions mip;
+  mip.num_threads = threads;
 
   // ---- single-design mode ----------------------------------------------
   if (designs.size() == 1 && !jobs_given) {
-    const design::Design& design = designs[0].design;
-    if (board.multi_device()) {
-      if (use_complete) {
-        std::fprintf(stderr,
-                     "--complete is a single-device option; multi-device "
-                     "boards use the sharded mapper\n");
-        return usage(argv[0]);
-      }
-      mapping::ShardOptions shard_options;
-      shard_options.pipeline = pipeline_options;
-      const mapping::ShardResult r =
-          mapping::map_sharded(design, board, shard_options);
-      if (!csv &&
-          (r.status == lp::SolveStatus::kOptimal ||
-           r.status == lp::SolveStatus::kFeasible)) {
-        std::printf("sharded over %d devices: %d shards, stitch cost %.0f, "
-                    "%lld cut edges, %d repair rounds\n",
-                    r.stats.devices, r.stats.shards, r.stats.stitch_cost,
-                    static_cast<long long>(r.stats.cut_edges),
-                    r.stats.repair_rounds);
-      }
-      return report_single(board, design, "sharded", csv, memory_map,
-                           r.assignment, r.detailed, r.effort, r.status,
-                           &r.device_of);
+    const design::Design& design = designs[0];
+    if (board.multi_device() && use_complete) {
+      std::fprintf(stderr,
+                   "--complete is a single-device option; multi-device "
+                   "boards use the sharded mapper\n");
+      return usage(argv[0]);
     }
-    if (use_complete) {
-      const mapping::CostTable table(design, board);
-      mapping::CompleteOptions complete_options;
-      complete_options.mip.num_threads = threads;
-      const mapping::CompleteResult r =
-          mapping::map_complete(design, board, table, complete_options);
-      return report_single(board, design, "complete", csv, memory_map,
-                           r.assignment, r.detailed, r.effort, r.status);
+    const mapping::Formulation formulation =
+        board.multi_device() ? mapping::Formulation::kSharded
+        : use_complete       ? mapping::Formulation::kComplete
+                             : mapping::Formulation::kGlobal;
+    const bool sharded = formulation == mapping::Formulation::kSharded;
+    const mapping::Outcome r = mapping::solve(formulation, design, board, mip);
+    if (sharded && !csv && r.mapped()) {
+      std::printf("sharded over %d devices: %d shards, stitch cost %.0f, "
+                  "%lld cut edges, %d repair rounds\n",
+                  r.shard.devices, r.shard.shards, r.shard.stitch_cost,
+                  static_cast<long long>(r.shard.cut_edges),
+                  r.shard.repair_rounds);
     }
-    const mapping::PipelineResult r =
-        mapping::map_pipeline(design, board, pipeline_options);
-    return report_single(board, design, "global/detailed", csv, memory_map,
-                         r.assignment, r.detailed, r.effort, r.status);
+    const char* label =
+        sharded ? "sharded" : use_complete ? "complete" : "global/detailed";
+    return report_single(board, design, label, csv, memory_map, r, sharded);
   }
 
   // ---- batch mode ------------------------------------------------------
@@ -283,25 +258,29 @@ int main(int argc, char** argv) {
                  static_cast<std::size_t>(
                      std::max(1u, std::thread::hardware_concurrency()))));
   }
-  std::vector<mapping::BatchItem> items;
-  items.reserve(designs.size());
-  for (const ParsedDesign& d : designs) {
-    items.push_back({.design = &d.design, .board = &board});
+  // The board is parsed once and shared read-only by every solve.
+  std::vector<mapping::Outcome> results(designs.size());
+  support::WallTimer timer;
+  {
+    support::ThreadPool pool(static_cast<std::size_t>(jobs));
+    support::parallel_for(pool, designs.size(), [&](std::size_t i) {
+      results[i] = mapping::solve(mapping::Formulation::kGlobal,
+                                  designs[i], board, mip);
+    });
   }
-  const mapping::BatchResult batch = mapping::map_batch(
-      items, pipeline_options, static_cast<std::size_t>(jobs));
+  const double seconds = timer.seconds();
 
-  int exit_code = 0;
+  std::size_t succeeded = 0;
   report::TextTable table({"Design", "Status", "Objective", "Fragments",
                            "Solve (s)", "B&B nodes"});
   table.set_alignment(0, report::Align::kLeft);
   table.set_alignment(1, report::Align::kLeft);
   for (std::size_t i = 0; i < designs.size(); ++i) {
-    const mapping::PipelineResult& r = batch.results[i];
+    const mapping::Outcome& r = results[i];
     const bool ok = r.status == lp::SolveStatus::kOptimal ||
                     r.status == lp::SolveStatus::kFeasible;
-    if (!ok) exit_code = 1;
-    table.add_row({designs[i].design.name(), lp::to_string(r.status),
+    if (ok) ++succeeded;
+    table.add_row({designs[i].name(), lp::to_string(r.status),
                    ok ? std::to_string(static_cast<long long>(
                             r.assignment.objective))
                       : "-",
@@ -312,9 +291,8 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::printf("\n%zu/%zu designs mapped in %.3fs over %d workers "
               "(%.1f designs/s)\n",
-              batch.succeeded, batch.results.size(), batch.seconds, jobs,
-              batch.seconds > 0
-                  ? static_cast<double>(batch.results.size()) / batch.seconds
-                  : 0.0);
-  return exit_code;
+              succeeded, results.size(), seconds, jobs,
+              seconds > 0 ? static_cast<double>(results.size()) / seconds
+                          : 0.0);
+  return succeeded == results.size() ? 0 : 1;
 }

@@ -31,7 +31,7 @@ int main() {
   design.add(frame);
   design.set_all_conflicting();  // all live simultaneously
 
-  const mapping::PipelineResult result = mapping::map_pipeline(design, board);
+  const mapping::Outcome result = mapping::map_pipeline(design, board);
   if (result.status != lp::SolveStatus::kOptimal) {
     std::printf("mapping failed: %s\n", lp::to_string(result.status));
     return 1;

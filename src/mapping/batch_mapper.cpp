@@ -1,14 +1,12 @@
 #include "mapping/batch_mapper.hpp"
 
 #include "support/assert.hpp"
-#include "support/timer.hpp"
 
 namespace gmm::mapping {
 
 BatchResult map_batch(support::ThreadPool& pool,
                       const std::vector<BatchItem>& items,
                       const PipelineOptions& options) {
-  support::WallTimer timer;
   BatchResult batch;
   batch.results.resize(items.size());
   support::parallel_for(pool, items.size(), [&](std::size_t i) {
@@ -18,13 +16,9 @@ BatchResult map_batch(support::ThreadPool& pool,
     batch.results[i] = map_pipeline(*item.design, *item.board,
                                     item.options ? *item.options : options);
   });
-  for (const PipelineResult& r : batch.results) {
-    if (r.status == lp::SolveStatus::kOptimal ||
-        r.status == lp::SolveStatus::kFeasible) {
-      ++batch.succeeded;
-    }
+  for (const Outcome& r : batch.results) {
+    if (r.mapped()) ++batch.succeeded;
   }
-  batch.seconds = timer.seconds();
   return batch;
 }
 

@@ -36,9 +36,8 @@ struct BatchItem {
 };
 
 struct BatchResult {
-  std::vector<PipelineResult> results;  // parallel to the input items
-  double seconds = 0.0;                 // wall clock for the whole batch
-  std::size_t succeeded = 0;  // items that reached optimal/feasible
+  std::vector<Outcome> results;  // parallel to the input items
+  std::size_t succeeded = 0;     // items that mapped
 
   [[nodiscard]] bool all_succeeded() const {
     return succeeded == results.size();

@@ -22,10 +22,9 @@ struct CountVar {
 
 }  // namespace
 
-CompleteResult map_complete(const design::Design& design,
-                            const arch::Board& board, const CostTable& table,
-                            const CompleteOptions& options) {
-  CompleteResult result;
+Outcome map_complete(const design::Design& design, const arch::Board& board,
+                     const CostTable& table, const CompleteOptions& options) {
+  Outcome result;
   const std::size_t num_ds = design.size();
   const std::size_t num_types = board.num_types();
   if (num_ds == 0) {

@@ -41,17 +41,12 @@ struct CompleteOptions {
   bool use_packing_heuristic = true;
 };
 
-struct CompleteResult {
-  lp::SolveStatus status = lp::SolveStatus::kInfeasible;
-  GlobalAssignment assignment;
-  DetailedMapping detailed;  // placement decoded from the ILP solution
-  ModelSize model_size;
-  SolveEffort effort;
-  ilp::MipResult mip;
-};
+/// The complete formulation's former result name, still spelled by
+/// perfbench/.  Its placement is decoded from the ILP solution.
+using CompleteResult = Outcome;
 
-CompleteResult map_complete(const design::Design& design,
-                            const arch::Board& board, const CostTable& table,
-                            const CompleteOptions& options = {});
+Outcome map_complete(const design::Design& design, const arch::Board& board,
+                     const CostTable& table,
+                     const CompleteOptions& options = {});
 
 }  // namespace gmm::mapping

@@ -10,10 +10,9 @@
 
 namespace gmm::mapping {
 
-GlobalResult map_global(const design::Design& design,
-                        const arch::Board& board, const CostTable& table,
-                        const GlobalOptions& options) {
-  GlobalResult result;
+Outcome map_global(const design::Design& design, const arch::Board& board,
+                   const CostTable& table, const GlobalOptions& options) {
+  Outcome result;
   const std::size_t num_ds = design.size();
   const std::size_t num_types = board.num_types();
   GMM_ASSERT(table.num_structures() == num_ds &&

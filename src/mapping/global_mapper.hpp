@@ -50,17 +50,9 @@ struct GlobalOptions {
   double migration_penalty = 0.0;
 };
 
-struct GlobalResult {
-  lp::SolveStatus status = lp::SolveStatus::kInfeasible;
-  GlobalAssignment assignment;  // valid when status is optimal/feasible
-  ModelSize model_size;
-  SolveEffort effort;
-  ilp::MipResult mip;
-};
-
 /// Run global mapping.  `table` must be built from the same design/board.
-GlobalResult map_global(const design::Design& design,
-                        const arch::Board& board, const CostTable& table,
-                        const GlobalOptions& options = {});
+/// The result carries the assignment only: `detailed` stays empty.
+Outcome map_global(const design::Design& design, const arch::Board& board,
+                   const CostTable& table, const GlobalOptions& options = {});
 
 }  // namespace gmm::mapping

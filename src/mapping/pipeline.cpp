@@ -8,10 +8,9 @@
 
 namespace gmm::mapping {
 
-PipelineResult map_pipeline(const design::Design& design,
-                            const arch::Board& board,
-                            const PipelineOptions& options) {
-  PipelineResult result;
+Outcome map_pipeline(const design::Design& design, const arch::Board& board,
+                     const PipelineOptions& options) {
+  Outcome result;
   support::WallTimer timer;
 
   // Pre-processing: every (d, t) placement plan and cost — charged to the
@@ -32,14 +31,9 @@ PipelineResult map_pipeline(const design::Design& design,
                                          : lp::SolveStatus::kTimeLimit;
       return result;
     }
-    GlobalResult global = map_global(design, board, table, global_options);
+    Outcome global = map_global(design, board, table, global_options);
     result.model_size = global.model_size;
-    result.effort.formulate_seconds += global.effort.formulate_seconds;
-    result.effort.solve_seconds += global.effort.solve_seconds;
-    result.effort.bnb_nodes += global.effort.bnb_nodes;
-    result.effort.lp_iterations += global.effort.lp_iterations;
-    result.effort.lp_refactorizations += global.effort.lp_refactorizations;
-    result.effort.basis += global.effort.basis;
+    result.effort += global.effort;
     result.mip = std::move(global.mip);
     result.status = global.status;
     if (global.status != lp::SolveStatus::kOptimal &&

@@ -22,18 +22,10 @@ struct PipelineOptions {
   int max_retries = 16;
 };
 
-struct PipelineResult {
-  lp::SolveStatus status = lp::SolveStatus::kInfeasible;
-  GlobalAssignment assignment;
-  DetailedMapping detailed;
-  ModelSize model_size;  // of the (last) global ILP
-  SolveEffort effort;    // cumulative over retries
-  int retries = 0;       // additional global solves after the first
-  ilp::MipResult mip;    // of the last global solve
-};
+/// The pipeline's former result name, still spelled by perfbench/.
+using PipelineResult = Outcome;
 
-PipelineResult map_pipeline(const design::Design& design,
-                            const arch::Board& board,
-                            const PipelineOptions& options = {});
+Outcome map_pipeline(const design::Design& design, const arch::Board& board,
+                     const PipelineOptions& options = {});
 
 }  // namespace gmm::mapping

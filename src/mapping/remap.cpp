@@ -4,15 +4,6 @@
 
 namespace gmm::mapping {
 
-namespace {
-
-bool has_mapping(const PipelineResult& result) {
-  return result.status == lp::SolveStatus::kOptimal ||
-         result.status == lp::SolveStatus::kFeasible;
-}
-
-}  // namespace
-
 RemapResult remap(const design::Design& design, const arch::Board& board,
                   const std::vector<int>& prior_type_of,
                   const RemapOptions& options) {
@@ -25,7 +16,7 @@ RemapResult remap(const design::Design& design, const arch::Board& board,
   }
   out.result = map_pipeline(design, board, warm);
   out.warm_used = out.result.mip.mip_start_used;
-  if (has_mapping(out.result)) return out;
+  if (out.result.mapped()) return out;
 
   // A pin the delta cannot live with (or a stale prior on a changed
   // board) shows up as infeasibility; the cold path is always available.

@@ -44,7 +44,7 @@ struct RemapOptions {
 };
 
 struct RemapResult {
-  PipelineResult result;
+  Outcome result;
   /// The prior assignment validated feasible and seeded the incumbent.
   bool warm_used = false;
   /// The incremental solve failed and the cold fallback ran.

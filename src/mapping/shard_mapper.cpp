@@ -19,28 +19,11 @@ namespace gmm::mapping {
 
 namespace {
 
-void accumulate(SolveEffort& into, const SolveEffort& from) {
-  into.preprocess_seconds += from.preprocess_seconds;
-  into.formulate_seconds += from.formulate_seconds;
-  into.solve_seconds += from.solve_seconds;
-  into.detailed_seconds += from.detailed_seconds;
-  into.bnb_nodes += from.bnb_nodes;
-  into.lp_iterations += from.lp_iterations;
-  into.lp_refactorizations += from.lp_refactorizations;
-  into.basis += from.basis;
-}
-
 void accumulate(ModelSize& into, const ModelSize& from) {
   into.variables += from.variables;
   into.binaries += from.binaries;
   into.rows += from.rows;
   into.nonzeros += from.nonzeros;
-}
-
-bool solved(const PipelineResult& r) {
-  return (r.status == lp::SolveStatus::kOptimal ||
-          r.status == lp::SolveStatus::kFeasible) &&
-         r.detailed.success;
 }
 
 /// The sub-design induced by `members` (global structure indices, in
@@ -63,39 +46,10 @@ design::Design induced_subdesign(const design::Design& design,
   return sub;
 }
 
-/// Degenerate paths (single usable device, no devices at all, empty
-/// design): the plain pipeline result, field for field — the board's flat
-/// type indices are already the single device's indices, so nothing needs
-/// remapping.
-ShardResult single_device_result(const design::Design& design,
-                                 const arch::Board& board,
-                                 const ShardOptions& options,
-                                 int device_index, int skipped) {
-  PipelineResult r = map_pipeline(design, board, options.pipeline);
-  ShardResult out;
-  out.status = r.status;
-  out.assignment = r.assignment;
-  out.detailed = std::move(r.detailed);
-  out.objective = out.assignment.objective;
-  out.effort = r.effort;
-  out.total_effort = r.effort;
-  out.model_size = r.model_size;
-  out.retries = r.retries;
-  const bool mapped = solved(r);
-  out.device_of.assign(design.size(), mapped ? device_index : -1);
-  out.stats.devices = static_cast<int>(board.num_devices());
-  out.stats.shards = mapped ? 1 : 0;
-  out.stats.skipped_devices = skipped;
-  out.stats.candidate_solves = 1;
-  return out;
-}
-
 }  // namespace
 
-ShardResult map_sharded(support::ThreadPool& pool,
-                        const design::Design& design,
-                        const arch::Board& board,
-                        const ShardOptions& options) {
+Outcome map_sharded(support::ThreadPool& pool, const design::Design& design,
+                    const arch::Board& board, const ShardOptions& options) {
   // Devices without a single bank are skipped, never solved against.
   std::vector<std::size_t> usable;
   for (std::size_t k = 0; k < board.num_devices(); ++k) {
@@ -105,16 +59,24 @@ ShardResult map_sharded(support::ThreadPool& pool,
       static_cast<int>(board.num_devices()) - static_cast<int>(usable.size());
 
   if (usable.size() <= 1 || design.size() == 0) {
-    // Zero-bank devices own no bank types, so the flat board IS the lone
-    // usable device's view; the single-device pipeline applies unchanged.
-    return single_device_result(
-        design, board, options,
-        usable.empty() ? -1 : static_cast<int>(usable.front()), skipped);
+    // Degenerate paths (single usable device, no devices at all, empty
+    // design): zero-bank devices own no bank types, so the flat board IS
+    // the lone usable device's view and the plain pipeline result applies
+    // unchanged.
+    Outcome out = map_pipeline(design, board, options.pipeline);
+    out.total_effort = out.effort;
+    const int device = usable.empty() ? -1 : static_cast<int>(usable.front());
+    out.device_of.assign(design.size(), out.mapped() ? device : -1);
+    out.shard.devices = static_cast<int>(board.num_devices());
+    out.shard.shards = out.mapped() ? 1 : 0;
+    out.shard.skipped_devices = skipped;
+    out.shard.candidate_solves = 1;
+    return out;
   }
 
-  ShardResult out;
-  out.stats.devices = static_cast<int>(board.num_devices());
-  out.stats.skipped_devices = skipped;
+  Outcome out;
+  out.shard.devices = static_cast<int>(board.num_devices());
+  out.shard.skipped_devices = skipped;
   out.device_of.assign(design.size(), -1);
 
   const std::size_t parts = usable.size();
@@ -299,7 +261,7 @@ ShardResult map_sharded(support::ThreadPool& pool,
                    << "' from part " << from << " to part " << target;
     part_of[victim] = target;
     ++migration_count[victim];
-    ++out.stats.migrations;
+    ++out.shard.migrations;
     return true;
   };
 
@@ -307,7 +269,7 @@ ShardResult map_sharded(support::ThreadPool& pool,
   // changes two parts, so every other part's sub-design is bit-identical
   // next round and its pipeline result can be reused instead of re-paying
   // the ILP (each pipeline run is deterministic in its inputs).
-  std::map<std::string, PipelineResult> candidate_cache;
+  std::map<std::string, Outcome> candidate_cache;
   const auto candidate_key = [](const std::vector<std::size_t>& part_members,
                                 std::size_t dev) {
     std::string key = std::to_string(dev) + "|";
@@ -394,7 +356,7 @@ ShardResult map_sharded(support::ThreadPool& pool,
         infeasible_reason = "a lone structure fits no device";
         break;
       }
-      out.stats.repair_rounds = round + 1;
+      out.shard.repair_rounds = round + 1;
       if (!migrate(bad, part_bits)) {
         infeasible_reason = "no migration target remains";
         break;
@@ -403,7 +365,7 @@ ShardResult map_sharded(support::ThreadPool& pool,
     }
 
     // Fan the UNCACHED candidate pipelines out over the pool.
-    std::vector<const PipelineResult*> results(candidates.size(), nullptr);
+    std::vector<const Outcome*> results(candidates.size(), nullptr);
     std::vector<std::size_t> uncached;
     std::vector<BatchItem> items;
     std::deque<PipelineOptions> warm_options;  // stable addresses for items
@@ -440,11 +402,11 @@ ShardResult map_sharded(support::ThreadPool& pool,
       }
     }
     BatchResult batch = map_batch(pool, items, options.pipeline);
-    out.stats.candidate_solves += static_cast<std::int64_t>(items.size());
+    out.shard.candidate_solves += static_cast<std::int64_t>(items.size());
     for (std::size_t i = 0; i < uncached.size(); ++i) {
       const Candidate& cand = candidates[uncached[i]];
-      accumulate(out.total_effort, batch.results[i].effort);
-      if (batch.results[i].mip.mip_start_used) ++out.stats.warm_started;
+      out.total_effort += batch.results[i].effort;
+      if (batch.results[i].mip.mip_start_used) ++out.shard.warm_started;
       // std::map nodes are stable, so the pointer survives later inserts.
       results[uncached[i]] =
           &(candidate_cache[candidate_key(members[cand.part], cand.dev)] =
@@ -452,7 +414,7 @@ ShardResult map_sharded(support::ThreadPool& pool,
     }
     // Refresh the per-(part, device) prior assignments for the next round.
     for (std::size_t c = 0; c < candidates.size(); ++c) {
-      if (results[c] == nullptr || !solved(*results[c])) continue;
+      if (results[c] == nullptr || !results[c]->mapped()) continue;
       const Candidate& cand = candidates[c];
       std::map<std::size_t, int>& prior =
           last_assignment[warm_key(cand.part, cand.dev)];
@@ -465,7 +427,7 @@ ShardResult map_sharded(support::ThreadPool& pool,
 
     std::vector<std::size_t> feasible_count(parts, 0);
     for (std::size_t c = 0; c < candidates.size(); ++c) {
-      if (solved(*results[c])) ++feasible_count[candidates[c].part];
+      if (results[c]->mapped()) ++feasible_count[candidates[c].part];
     }
     if (const int bad = needs_repair(true, feasible_count); bad >= 0) {
       // Same singleton argument: a lone structure that no device can
@@ -474,7 +436,7 @@ ShardResult map_sharded(support::ThreadPool& pool,
         infeasible_reason = "a lone structure maps on no device";
         break;
       }
-      out.stats.repair_rounds = round + 1;
+      out.shard.repair_rounds = round + 1;
       if (!migrate(bad, part_bits)) {
         infeasible_reason = "no migration target remains";
         break;
@@ -489,7 +451,7 @@ ShardResult map_sharded(support::ThreadPool& pool,
     lp::Model stitch;
     std::vector<lp::Index> var_of(candidates.size(), -1);
     for (std::size_t c = 0; c < candidates.size(); ++c) {
-      if (!solved(*results[c])) continue;
+      if (!results[c]->mapped()) continue;
       const Candidate& cand = candidates[c];
       const double transfer =
           options.transfer_weight *
@@ -530,9 +492,9 @@ ShardResult map_sharded(support::ThreadPool& pool,
     // not work behind the returned mapping; out.effort only gets the
     // successful stitch, below.
     const double stitch_seconds = stitch_timer.seconds();
-    out.stats.stitch_seconds += stitch_seconds;
+    out.shard.stitch_seconds += stitch_seconds;
     out.total_effort.solve_seconds += stitch_seconds;
-    out.stats.stitch_model = {.variables = stitch.num_vars(),
+    out.shard.stitch_model = {.variables = stitch.num_vars(),
                               .binaries = stitch.num_vars(),
                               .rows = stitch.num_rows(),
                               .nonzeros = static_cast<std::int64_t>(
@@ -550,7 +512,7 @@ ShardResult map_sharded(support::ThreadPool& pool,
           tightest = static_cast<int>(p);
         }
       }
-      out.stats.repair_rounds = round + 1;
+      out.shard.repair_rounds = round + 1;
       if (tightest < 0 || !migrate(tightest, part_bits)) {
         infeasible_reason = "stitch blocked and no migration remains";
         break;
@@ -568,7 +530,7 @@ ShardResult map_sharded(support::ThreadPool& pool,
         continue;
       }
       const Candidate& cand = candidates[c];
-      const PipelineResult& r = *results[c];
+      const Outcome& r = *results[c];
       const std::vector<std::size_t>& flat = flat_of[cand.dev];
       for (std::size_t j = 0; j < members[cand.part].size(); ++j) {
         const std::size_t d = members[cand.part][j];
@@ -581,20 +543,19 @@ ShardResult map_sharded(support::ThreadPool& pool,
         fragment.type = flat[fragment.type];
         out.detailed.fragments.push_back(fragment);
       }
-      out.objective += r.assignment.objective;
-      out.stats.stitch_cost += options.transfer_weight *
+      out.assignment.objective += r.assignment.objective;
+      out.shard.stitch_cost += options.transfer_weight *
                                static_cast<double>(cut_traffic[cand.part]) *
                                static_cast<double>(device_pins[cand.dev]);
       out.retries += r.retries;
-      accumulate(out.effort, r.effort);
+      out.effort += r.effort;
       accumulate(out.model_size, r.model_size);
       if (r.status != lp::SolveStatus::kOptimal) all_optimal = false;
-      ++out.stats.shards;
+      ++out.shard.shards;
     }
-    out.objective += out.stats.stitch_cost;
-    out.assignment.objective = out.objective;
+    out.assignment.objective += out.shard.stitch_cost;
     out.detailed.success = true;
-    out.stats.cut_edges = cut_edges;
+    out.shard.cut_edges = cut_edges;
     out.status = all_optimal ? lp::SolveStatus::kOptimal
                              : lp::SolveStatus::kFeasible;
     return out;
@@ -605,29 +566,27 @@ ShardResult map_sharded(support::ThreadPool& pool,
   return out;
 }
 
-ShardResult map_sharded(const design::Design& design,
-                        const arch::Board& board,
-                        const ShardOptions& options) {
-  std::size_t workers = options.num_workers;
-  if (workers == 0) {
-    // One worker per candidate solve (usable devices squared), capped so
-    // fan-out workers x per-candidate B&B threads stays within the
-    // hardware instead of multiplying against it.
-    std::size_t usable = 0;
-    for (std::size_t k = 0; k < board.num_devices(); ++k) {
-      if (board.device_banks(k) > 0) ++usable;
-    }
-    const std::size_t cores =
-        std::max(1u, std::thread::hardware_concurrency());
-    // num_threads 0 = "all cores" per solve, so the fan-out serializes.
-    const int solver_threads = options.pipeline.global.mip.num_threads;
-    const std::size_t per_solve =
-        solver_threads <= 0 ? cores
-                            : static_cast<std::size_t>(solver_threads);
-    const std::size_t hardware = std::max(std::size_t{1}, cores / per_solve);
-    workers = std::min(std::max<std::size_t>(usable * usable, 1), hardware);
+Outcome map_sharded(const design::Design& design, const arch::Board& board,
+                    const ShardOptions& options) {
+  // One worker per candidate solve (usable devices squared), capped so
+  // fan-out workers x per-candidate B&B threads stays within the thread
+  // budget instead of multiplying against it.
+  std::size_t usable = 0;
+  for (std::size_t k = 0; k < board.num_devices(); ++k) {
+    if (board.device_banks(k) > 0) ++usable;
   }
-  support::ThreadPool pool(workers);
+  const std::size_t cores = std::max(1u, std::thread::hardware_concurrency());
+  const std::size_t budget =
+      options.thread_budget > 0
+          ? static_cast<std::size_t>(options.thread_budget)
+          : cores;
+  // num_threads 0 = "all cores" per solve, so the fan-out serializes.
+  const int solver_threads = options.pipeline.global.mip.num_threads;
+  const std::size_t per_solve =
+      solver_threads <= 0 ? cores : static_cast<std::size_t>(solver_threads);
+  support::ThreadPool pool(
+      std::min(std::max<std::size_t>(usable * usable, 1),
+               std::max<std::size_t>(budget / per_solve, 1)));
   return map_sharded(pool, design, board, options);
 }
 

@@ -59,62 +59,23 @@ struct ShardOptions {
   double transfer_weight = 1.0;
   /// Migration rounds for parts that are infeasible on every device.
   int max_repair_rounds = 8;
-  /// Workers for the candidate fan-out when map_sharded creates its own
-  /// pool (0 = one per candidate, capped at hardware concurrency).  The
-  /// pool-taking overload ignores this.
-  std::size_t num_workers = 0;
+  /// Threads the whole sharded solve may occupy when map_sharded creates
+  /// its own pool: fan-out workers x per-candidate B&B threads stays
+  /// within it, and there is never more than one worker per candidate
+  /// solve (0 = the hardware concurrency).  The pool-taking overload
+  /// ignores this.
+  int thread_budget = 0;
 };
 
-struct ShardStats {
-  int devices = 0;           // devices on the board
-  int shards = 0;            // non-empty parts actually mapped
-  int skipped_devices = 0;   // devices with zero banks (never solved)
-  int repair_rounds = 0;     // migration rounds the repair loop ran
-  std::int64_t migrations = 0;        // structures moved between parts
-  std::int64_t candidate_solves = 0;  // per-device pipelines executed
-  /// Candidate solves whose B&B was seeded with the previous round's
-  /// assignment for the same (part, device) pair (MIP start accepted).
-  std::int64_t warm_started = 0;
-  std::int64_t cut_edges = 0;    // conflict edges crossing devices
-  double stitch_cost = 0.0;      // weighted inter-device transfer term
-  double stitch_seconds = 0.0;   // top-level assignment ILP wall clock
-  ModelSize stitch_model;        // size of the assignment ILP
-};
-
-struct ShardResult {
-  lp::SolveStatus status = lp::SolveStatus::kInfeasible;
-  /// Bank-type assignment in the board's FLAT type index space, so
-  /// validate_mapping and the reports work on it unchanged.
-  GlobalAssignment assignment;
-  /// Concrete placements, remapped to flat type indices.
-  DetailedMapping detailed;
-  /// Device index per structure (-1 when unmapped).
-  std::vector<int> device_of;
-  /// Sum of the chosen per-device objectives plus the stitch transfer
-  /// term (equals assignment.objective).
-  double objective = 0.0;
-  /// Effort behind the RETURNED mapping: the chosen candidates' solves
-  /// plus the stitch ILP — comparable to a PipelineResult's effort.
-  SolveEffort effort;
-  /// Total work executed, including candidates the stitch discarded and
-  /// repair-round re-solves — what capacity accounting should charge.
-  SolveEffort total_effort;
-  /// Summed over the CHOSEN per-device models only.
-  ModelSize model_size;
-  /// Summed pipeline retries of the chosen candidates.
-  int retries = 0;
-  ShardStats stats;
-};
-
-/// Shard over a caller-owned pool (shared fan-out workers).
-ShardResult map_sharded(support::ThreadPool& pool,
-                        const design::Design& design,
-                        const arch::Board& board,
-                        const ShardOptions& options = {});
+/// Shard over a caller-owned pool (shared fan-out workers).  The result's
+/// sharded extras (device_of, total_effort, shard) are set; mip stays
+/// default: no single ILP stands behind a stitched mapping.
+Outcome map_sharded(support::ThreadPool& pool, const design::Design& design,
+                    const arch::Board& board,
+                    const ShardOptions& options = {});
 
 /// Convenience: create a pool for the duration of the call.
-ShardResult map_sharded(const design::Design& design,
-                        const arch::Board& board,
-                        const ShardOptions& options = {});
+Outcome map_sharded(const design::Design& design, const arch::Board& board,
+                    const ShardOptions& options = {});
 
 }  // namespace gmm::mapping

@@ -1,10 +1,11 @@
-// Shared result types of the mapping pipeline.
+// Shared result types of the mapping formulations.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "ilp/mip_solver.hpp"
 #include "lp/basis.hpp"
 #include "lp/types.hpp"
 #include "mapping/preprocess.hpp"
@@ -78,6 +79,79 @@ struct SolveEffort {
   [[nodiscard]] double total_seconds() const {
     return preprocess_seconds + formulate_seconds + solve_seconds +
            detailed_seconds;
+  }
+
+  SolveEffort& operator+=(const SolveEffort& other) {
+    preprocess_seconds += other.preprocess_seconds;
+    formulate_seconds += other.formulate_seconds;
+    solve_seconds += other.solve_seconds;
+    detailed_seconds += other.detailed_seconds;
+    bnb_nodes += other.bnb_nodes;
+    lp_iterations += other.lp_iterations;
+    lp_refactorizations += other.lp_refactorizations;
+    basis += other.basis;
+    return *this;
+  }
+};
+
+/// The mapping formulations, dispatched by solve() (mapping/solve.hpp).
+/// The global and complete formulations share one objective, so a proved
+/// optimum of either certifies the other (paper Table 3).  The values are
+/// folded into the solution cache's fingerprints: never renumber them.
+enum class Formulation : int {
+  kGlobal = 0,    // global ILP + detailed mapping (map_pipeline)
+  kComplete = 1,  // the flat one-ILP baseline (map_complete)
+  kSharded = 2,   // multi-device partition/fan-out/stitch (map_sharded)
+};
+
+/// Counters of one sharded solve (map_sharded).
+struct ShardStats {
+  int devices = 0;           // devices on the board
+  int shards = 0;            // non-empty parts actually mapped
+  int skipped_devices = 0;   // devices with zero banks (never solved)
+  int repair_rounds = 0;     // migration rounds the repair loop ran
+  std::int64_t migrations = 0;        // structures moved between parts
+  std::int64_t candidate_solves = 0;  // per-device pipelines executed
+  /// Candidate solves whose B&B was seeded with the previous round's
+  /// assignment for the same (part, device) pair (MIP start accepted).
+  std::int64_t warm_started = 0;
+  std::int64_t cut_edges = 0;    // conflict edges crossing devices
+  double stitch_cost = 0.0;      // weighted inter-device transfer term
+  double stitch_seconds = 0.0;   // top-level assignment ILP wall clock
+  ModelSize stitch_model;        // size of the assignment ILP
+};
+
+/// The one result of every formulation: map_pipeline, map_complete,
+/// map_sharded, remap and the solve() dispatch all return it.
+struct Outcome {
+  lp::SolveStatus status = lp::SolveStatus::kInfeasible;
+  /// Bank type per structure, in the board's flat type index space;
+  /// `assignment.objective` is the mapping cost (sharded: the chosen
+  /// per-device objectives plus the stitch transfer term).
+  GlobalAssignment assignment;
+  DetailedMapping detailed;  // concrete placements
+  /// The (last) global ILP, the complete ILP, or for sharded the sum over
+  /// the chosen per-device models.
+  ModelSize model_size;
+  /// Effort behind the returned mapping: cumulative over pipeline retries;
+  /// for sharded, the chosen candidates' solves plus the stitch ILP.
+  SolveEffort effort;
+  int retries = 0;     // additional global solves after the first
+  ilp::MipResult mip;  // of the last global solve or the complete ILP
+
+  // ---- sharded extras (map_sharded only) --------------------------------
+  std::vector<int> device_of;  // device per structure, -1 when unmapped
+  /// Total work executed, including candidates the stitch discarded and
+  /// repair-round re-solves — what capacity accounting should charge.
+  SolveEffort total_effort;
+  ShardStats shard;
+
+  /// The solve produced a usable mapping: an optimal or feasible status
+  /// and a successful detailed placement.
+  [[nodiscard]] bool mapped() const {
+    return (status == lp::SolveStatus::kOptimal ||
+            status == lp::SolveStatus::kFeasible) &&
+           detailed.success;
   }
 };
 

@@ -8,11 +8,9 @@
 
 #include "arch/arch_io.hpp"
 #include "design/design_io.hpp"
-#include "mapping/complete_mapper.hpp"
 #include "mapping/cost_model.hpp"
-#include "mapping/pipeline.hpp"
 #include "mapping/remap.hpp"
-#include "mapping/shard_mapper.hpp"
+#include "mapping/solve.hpp"
 #include "mapping/validate.hpp"
 #include "support/assert.hpp"
 #include "support/fault.hpp"
@@ -53,6 +51,16 @@ ResponseStatus classify(lp::SolveStatus status,
   }
 }
 
+/// An ok response echoing `request`'s id and version.
+Response reply(const Request& request, const char* method) {
+  Response out;
+  out.id = request.id;
+  out.method = method;
+  out.v = request.version;
+  out.status = ResponseStatus::kOk;
+  return out;
+}
+
 /// Resolve a detailed mapping's fragments into wire placement rows.
 void append_placements(Response& response, const design::Design& design,
                        const arch::Board& board,
@@ -75,6 +83,93 @@ void append_placements(Response& response, const design::Design& design,
     entry.block_bits = f.block_bits;
     entry.kind = mapping::to_string(f.kind);
     response.placements.push_back(std::move(entry));
+  }
+}
+
+/// Replay a cached mapping into `response`: translate it back through
+/// `fp`'s canonical permutations, then RE-VERIFY it against THIS
+/// request's design and board.  A fingerprint collision (or a poisoned
+/// entry) fails here and degrades to a verify-fail miss, never a wrong
+/// answer; `response` is untouched then.
+bool replay(const RequestFingerprint& fp, const CacheEntry& hit,
+            const design::Design& design, const arch::Board& board,
+            const support::WallTimer& timer, Response& response) {
+  mapping::GlobalAssignment replayed;
+  mapping::DetailedMapping mapped;
+  bool ok = from_canonical(fp, hit, replayed.type_of, &mapped) &&
+            mapping::validate_mapping(design, board, replayed, mapped).empty();
+  if (ok) {
+    const mapping::CostTable table(design, board);
+    replayed.objective = table.assignment_objective(replayed.type_of);
+    ok = std::abs(replayed.objective - hit.objective) <=
+         1e-6 * std::max(1.0, std::abs(hit.objective));
+  }
+  // Injected entry corruption: the replay verified fine, but we pretend
+  // it did not — driving the exact poison/cold-solve/alert path a
+  // genuinely corrupted entry would take.
+  if (ok && GMM_FAULT("cache.verify", "corrupt")) ok = false;
+  if (!ok) return false;
+  response.status = ResponseStatus::kOk;
+  response.has_result = true;
+  response.cached = true;
+  response.solve_status = hit.solve_status;
+  response.objective = replayed.objective;
+  response.nodes = 0;
+  response.seconds = timer.seconds();
+  response.retries = hit.retries;
+  append_placements(response, design, board, mapped);
+  return true;
+}
+
+/// Fill a solved request's terminal response from its outcome.
+void respond(const mapping::Outcome& outcome, const support::CancelToken& token,
+             bool verify_failed, const design::Design& design,
+             const arch::Board& board, Response& response) {
+  response.status = classify(outcome.status, outcome.mip);
+  // A watchdog kill travels through the ordinary cancellation machinery
+  // (the solver stops with kCancelled); the token's cause upgrades the
+  // wire status so clients can tell "you cancelled it" from "the server
+  // killed a wedged solve" — only the latter is worth retrying.
+  if (response.status == ResponseStatus::kCancelled && token.stalled()) {
+    response.status = ResponseStatus::kStalled;
+    response.stop_reason = "stalled";
+  }
+  // Verify-fail cold solves are explicitly NOT degraded: corruption was
+  // detected and the client got a fresh full-fidelity solve.  The marker
+  // (plus the verify_fails counter) is what monitoring alerts on.
+  if (verify_failed) response.degraded = 0;
+  response.retries = outcome.retries;
+  response.shards = outcome.shard.shards;
+  response.stitch_cost = outcome.shard.stitch_cost;
+  // A result payload only when the solve produced a usable mapping —
+  // i.e. detailed placement succeeded.  This excludes both a
+  // timeout/cancel/infeasible with no incumbent (whose
+  // default-constructed objective of 0 would read as a perfect score)
+  // and a retry-loop early exit whose stale global assignment never
+  // packed (objective without placements).
+  if (outcome.detailed.success && outcome.assignment.complete()) {
+    response.has_result = true;
+    response.solve_status = lp::to_string(outcome.status);
+    if (outcome.mip.stop_reason != SolveStatus::kOptimal &&
+        response.status != ResponseStatus::kStalled) {
+      response.stop_reason = lp::to_string(outcome.mip.stop_reason);
+    }
+    response.objective = outcome.assignment.objective;
+    response.nodes = outcome.effort.bnb_nodes;
+    response.seconds = outcome.effort.total_seconds();
+  }
+  if (response.status == ResponseStatus::kError) {
+    response.error =
+        "solver failed: " + std::string(lp::to_string(outcome.status));
+  }
+  // Taxonomy for solve outcomes: timeouts, stalls, and internal solver
+  // failures are transient server-side conditions (retryable); cancelled
+  // and infeasible are deterministic for this request.
+  response.retryable = response.status == ResponseStatus::kTimeout ||
+                       response.status == ResponseStatus::kStalled ||
+                       response.status == ResponseStatus::kError;
+  if (outcome.detailed.success) {
+    append_placements(response, design, board, outcome.detailed);
   }
 }
 
@@ -176,11 +271,7 @@ void MappingService::handle(const Request& request) {
       handle_map(request);
       return;
     case Method::kCancel: {
-      Response ack;
-      ack.id = request.id;
-      ack.method = "cancel";
-      ack.v = request.version;
-      ack.status = ResponseStatus::kOk;
+      Response ack = reply(request, "cancel");
       ack.target = request.target;
       {
         const std::scoped_lock lock(mutex_);
@@ -191,41 +282,23 @@ void MappingService::handle(const Request& request) {
       sink_(ack);
       return;
     }
-    case Method::kPing: {
-      Response pong;
-      pong.id = request.id;
-      pong.method = "ping";
-      pong.v = request.version;
-      pong.status = ResponseStatus::kOk;
-      sink_(pong);
+    case Method::kPing:
+      sink_(reply(request, "ping"));
       return;
-    }
     case Method::kStats: {
-      Response snapshot;
-      snapshot.id = request.id;
-      snapshot.method = "stats";
-      snapshot.v = request.version;
-      snapshot.status = ResponseStatus::kOk;
+      Response snapshot = reply(request, "stats");
       snapshot.has_stats = true;
       snapshot.stats = stats();
       sink_(snapshot);
       return;
     }
-    case Method::kShutdown: {
+    case Method::kShutdown:
       // Draining is the serve loop's job (it must stop feeding requests
       // first); acknowledge so a bare service user still gets a reply.
-      Response ack;
-      ack.id = request.id;
-      ack.method = "shutdown";
-      ack.v = request.version;
-      ack.status = ResponseStatus::kOk;
-      sink_(ack);
+      sink_(reply(request, "shutdown"));
       return;
-    }
     case Method::kInvalid: {
-      Response err;
-      err.id = request.id;
-      err.v = request.version;
+      Response err = reply(request, "");
       err.status = ResponseStatus::kError;
       err.error = request.error.empty() ? "invalid request" : request.error;
       sink_(err);
@@ -235,10 +308,7 @@ void MappingService::handle(const Request& request) {
 }
 
 void MappingService::handle_map(const Request& request) {
-  Response reject;
-  reject.id = request.id;
-  reject.method = "map";
-  reject.v = request.version;
+  Response reject = reply(request, "map");  // kOk marks "admitted" below
   // Out-of-range solver knobs terminate the request here with status
   // "rejected" — never a silent clamp into a quality/effort contract the
   // client did not ask for (the per-solve thread CAP is the exception:
@@ -318,7 +388,6 @@ void MappingService::handle_map(const Request& request) {
       ActiveRequest slot;
       slot.token = token;
       active_.emplace(request.id, std::move(slot));
-      reject.status = ResponseStatus::kOk;  // marker: admitted
     }
   }
   if (reject.status != ResponseStatus::kOk) {
@@ -343,91 +412,28 @@ void MappingService::run_map(const std::string& id, int version,
   response.id = id;
   response.method = "map";
   response.v = version;
+  CacheTally cache;  // a bypass unless the lookup below consults the cache
 
-  // Fold this request's observed queue wait into the overload signal.
-  // Recorded unconditionally (shedding enabled or not) so the EWMA is
-  // warm the moment an operator turns the threshold on.
-  {
-    const double delay_ms =
-        std::chrono::duration<double, std::milli>(Clock::now() - admitted)
-            .count();
-    const std::scoped_lock lock(mutex_);
-    queue_delay_ewma_ms_ =
-        queue_delay_ewma_ms_ == 0.0
-            ? delay_ms
-            : 0.7 * queue_delay_ewma_ms_ + 0.3 * delay_ms;
-  }
-
+  // ---- queue and progress bookkeeping ----------------------------------
+  record_pickup(admitted);
   // A request whose token fired while queued never starts a solve.
   if (token->should_stop()) {
     response.status = token->cancelled() ? ResponseStatus::kCancelled
                                          : ResponseStatus::kTimeout;
     response.retryable = response.status == ResponseStatus::kTimeout;
-    {
-      const std::scoped_lock lock(mutex_);
-      ++stats_.cache.bypasses;  // never reached the cache
-    }
-    finish(std::move(response));
-    return;
+    return finish(std::move(response), cache);
   }
+  const auto progress = watch(id);
 
-  // From here the solve is RUNNING: register the liveness counter so the
-  // watchdog starts judging it.  The registration instant counts as the
-  // last progress change, so a fresh solve gets one full window to
-  // produce its first node.
-  auto progress = std::make_shared<std::atomic<std::int64_t>>(0);
-  {
-    const std::scoped_lock lock(mutex_);
-    const auto it = active_.find(id);
-    if (it != active_.end()) {
-      it->second.progress = progress;
-      it->second.last_progress = 0;
-      it->second.last_change = Clock::now();
-    }
-  }
-
-  const auto bail = [&](std::string message) {
+  // ---- resolve board and design ----------------------------------------
+  Resolved in;
+  if (std::string error = resolve(request, in); !error.empty()) {
     response.status = ResponseStatus::kError;
-    response.error = std::move(message);
-    {
-      const std::scoped_lock lock(mutex_);
-      ++stats_.cache.bypasses;  // failed before the cache was consulted
-    }
-    finish(std::move(response));
-  };
-
-  // Resolve the board: inline text wins, else the named catalog entry.
-  arch::Board inline_board;
-  const arch::Board* board = nullptr;
-  if (!request.board_text.empty()) {
-    arch::BoardParseResult parsed =
-        arch::parse_board_string(request.board_text);
-    if (!parsed.ok) return bail("board_text: " + parsed.error);
-    inline_board = std::move(parsed.board);
-    board = &inline_board;
-  } else {
-    board = find_board(request.board_name);
-    if (board == nullptr) {
-      return bail(request.board_name.empty()
-                      ? "no boards loaded and no board_text given"
-                      : "unknown board '" + request.board_name + "'");
-    }
+    response.error = std::move(error);
+    return finish(std::move(response), cache);
   }
-
-  // Resolve the design: inline text or a server-side file.
-  std::string design_text = request.design_text;
-  if (design_text.empty()) {
-    std::ifstream file(request.design_path);
-    if (!file) return bail("cannot open '" + request.design_path + "'");
-    std::ostringstream content;
-    content << file.rdbuf();
-    design_text = content.str();
-  }
-  design::DesignParseResult parsed = design::parse_design_string(design_text);
-  if (!parsed.ok) return bail("design: " + parsed.error);
-  const design::Design& design = parsed.design;
-  if (design.size() == 0) return bail("design has no segments");
-
+  const design::Design& design = in.design;
+  const arch::Board& board = *in.board;
   ilp::MipOptions mip;
   mip.cancel_token = token;
   mip.progress = progress;
@@ -435,333 +441,185 @@ void MappingService::run_map(const std::string& id, int version,
   // node/time budgets, basis cache, threads clamped to the server cap).
   apply_solver_knobs(request.knobs, options_.max_threads_per_solve, mip);
 
-  // ---- solution cache: exact-hit replay ----------------------------------
+  // ---- fingerprint and cache lookup ------------------------------------
   // Sharded solves bypass the cache entirely: their objective includes
   // the stitch transfer term, which the replay verifier cannot recompute
   // from a single-board CostTable.
-  const bool cacheable =
-      cache_.enabled() && !request.sharded && !request.knobs.no_cache;
+  const bool cacheable = cache_.enabled() &&
+                         request.formulation != mapping::Formulation::kSharded &&
+                         !request.knobs.no_cache;
   RequestFingerprint fp;
-  std::vector<std::size_t> type_by_rank;    // canonical rank -> flat index
-  std::optional<CacheEntry> prior;          // near-miss seed (global path)
-  bool verify_failed = false;
-  bool near_miss = false;
+  std::optional<CacheEntry> prior;  // near-miss seed (global path)
   if (cacheable) {
+    cache.bucket = CacheTally::Bucket::kMiss;
     support::WallTimer replay_timer;
-    fp = fingerprint_request(design, *board,
-                             request.complete ? CachedFormulation::kComplete
-                                              : CachedFormulation::kGlobal,
-                             mip.rel_gap);  // the EFFECTIVE gap after knobs
-    type_by_rank.resize(board->num_types());
-    for (std::size_t t = 0; t < board->num_types(); ++t) {
-      type_by_rank[fp.type_rank[t]] = t;
-    }
-    if (std::optional<CacheEntry> hit = cache_.find(fp.full);
-        hit.has_value()) {
-      // Replay through the canonical permutations, then RE-VERIFY against
-      // THIS request's design and board: a fingerprint collision (or a
-      // poisoned entry) degrades to a verify-fail miss, never a wrong
-      // answer.
-      mapping::GlobalAssignment replayed;
-      mapping::DetailedMapping mapped;
-      bool ok = hit->num_structures == design.size() &&
-                hit->num_types == board->num_types() &&
-                hit->type_of_by_rank.size() == design.size();
-      if (ok) {
-        std::vector<std::size_t> ds_by_rank(design.size());
-        for (std::size_t d = 0; d < design.size(); ++d) {
-          ds_by_rank[fp.structure_rank[d]] = d;
-        }
-        replayed.type_of.assign(design.size(), -1);
-        for (std::size_t d = 0; d < design.size() && ok; ++d) {
-          const int tr = hit->type_of_by_rank[fp.structure_rank[d]];
-          ok = tr >= 0 && tr < static_cast<int>(board->num_types());
-          if (ok) {
-            replayed.type_of[d] = static_cast<int>(
-                type_by_rank[static_cast<std::size_t>(tr)]);
-          }
-        }
-        for (const mapping::PlacedFragment& f : hit->fragments_by_rank) {
-          if (!ok) break;
-          ok = f.ds < design.size() && f.type < board->num_types();
-          if (ok) {
-            mapping::PlacedFragment placed = f;
-            placed.ds = ds_by_rank[f.ds];
-            placed.type = type_by_rank[f.type];
-            mapped.fragments.push_back(placed);
-          }
-        }
-        mapped.success = ok;
+    // Keyed on the EFFECTIVE gap after knobs.
+    fp = fingerprint_request(design, board, request.formulation, mip.rel_gap);
+    if (const std::optional<CacheEntry> hit = cache_.find(fp.full)) {
+      if (replay(fp, *hit, design, board, replay_timer, response)) {
+        cache.bucket = CacheTally::Bucket::kHit;
+        return finish(std::move(response), cache);
       }
-      if (ok) {
-        ok = mapping::validate_mapping(design, *board, replayed, mapped)
-                 .empty();
-      }
-      if (ok) {
-        const mapping::CostTable table(design, *board);
-        replayed.objective = table.assignment_objective(replayed.type_of);
-        ok = std::abs(replayed.objective - hit->objective) <=
-             1e-6 * std::max(1.0, std::abs(hit->objective));
-      }
-      // Injected entry corruption: the replay verified fine, but we
-      // pretend it did not — driving the exact poison/cold-solve/alert
-      // path a genuinely corrupted entry would take.
-      if (ok && GMM_FAULT("cache.verify", "corrupt")) ok = false;
-      if (ok) {
-        {
-          const std::scoped_lock lock(mutex_);
-          ++stats_.cache.hits;
-        }
-        response.status = ResponseStatus::kOk;
-        response.has_result = true;
-        response.cached = true;
-        response.solve_status = hit->solve_status;
-        response.objective = replayed.objective;
-        response.nodes = 0;
-        response.seconds = replay_timer.seconds();
-        response.retries = hit->retries;
-        append_placements(response, design, *board, mapped);
-        finish(std::move(response));
-        return;
-      }
-      // Poison the colliding key: left in place it would verify-fail on
-      // every future resubmission of this request.
-      cache_.erase(fp.full);
-      verify_failed = true;
-      // Alert once per fingerprint — repeated corruption of the same
-      // entry (or a hot key being resubmitted) must not storm the log.
-      {
-        const std::scoped_lock lock(mutex_);
-        if (logged_poisoned_.insert(fp.full).second) {
-          GMM_LOG(kWarn) << "cache: poisoned entry evicted, fingerprint "
-                         << fp.full.hi << ":" << fp.full.lo
-                         << " failed replay verification (request '" << id
-                         << "'); answering with a cold solve";
-        }
-      }
+      poison(fp.full, id);
+      cache.verify_failed = true;
     }
     // Near-miss warm re-solves are a plain-global feature.
-    if (!request.complete) {
+    if (request.formulation == mapping::Formulation::kGlobal) {
       prior = cache_.find_structural(fp.structural);
     }
   }
 
-  // Every formulation lands in the same (status, assignment, detailed,
-  // effort, mip) shape; retries and the shard counters are specific to
-  // the pipeline/sharded paths.
-  lp::SolveStatus status = SolveStatus::kNumericalFailure;
-  mapping::GlobalAssignment assignment;
-  mapping::DetailedMapping detailed;
-  mapping::SolveEffort effort;        // behind the returned mapping
-  mapping::SolveEffort total_effort;  // all work executed (= effort
-                                      // except for sharded)
-  ilp::MipResult mip_result;
-  mapping::ShardStats shard_stats;
-  if (request.sharded) {
-    mapping::ShardOptions options;
-    options.pipeline.global.mip = mip;
-    // The operator's per-solve parallelism budget covers the whole
-    // sharded solve: fan-out workers x per-candidate B&B threads stays
-    // within max_threads_per_solve instead of each request spinning up
-    // a hardware-concurrency pool of its own — and never more workers
-    // than there are candidate solves to run.
-    std::size_t usable = 0;
-    for (std::size_t k = 0; k < board->num_devices(); ++k) {
-      if (board->device_banks(k) > 0) ++usable;
-    }
-    const auto budget = static_cast<std::size_t>(
-        std::max(1, options_.max_threads_per_solve /
-                        std::max(1, mip.num_threads)));
-    options.num_workers =
-        std::max<std::size_t>(std::min(budget, usable * usable), 1);
-    mapping::ShardResult result =
-        mapping::map_sharded(design, *board, options);
-    status = result.status;
-    assignment = std::move(result.assignment);
-    detailed = std::move(result.detailed);
-    effort = result.effort;
-    total_effort = result.total_effort;
-    shard_stats = result.stats;
-    response.retries = result.retries;
-    response.shards = result.stats.shards;
-    response.stitch_cost = result.stats.stitch_cost;
-  } else if (request.complete) {
-    const mapping::CostTable table(design, *board);
-    mapping::CompleteOptions options;
-    options.mip = mip;
-    mapping::CompleteResult result =
-        mapping::map_complete(design, *board, table, options);
-    status = result.status;
-    assignment = std::move(result.assignment);
-    detailed = std::move(result.detailed);
-    effort = result.effort;
-    total_effort = effort;
-    mip_result = std::move(result.mip);
+  // ---- solve, or remap from the near-miss seed -------------------------
+  mapping::Outcome outcome;
+  std::vector<int> prior_type_of;
+  if (prior.has_value() && from_canonical(fp, *prior, prior_type_of, nullptr)) {
+    // NEAR MISS: same structure/board/contract, different traffic.
+    // Re-solve incrementally from the cached assignment — B&B seeded
+    // with the prior mapping, traffic-unchanged structures pinned, a
+    // small migration term biasing toward stability (remap.hpp).
+    mapping::RemapOptions remap_options;
+    remap_options.pipeline.global.mip = mip;
+    remap_options.pinned_structures = unchanged_structures(fp, *prior);
+    remap_options.migration_penalty = options_.near_miss_migration_penalty;
+    outcome = mapping::remap(design, board, prior_type_of, remap_options).result;
+    cache.near_miss = true;
   } else {
-    mapping::PipelineOptions options;
-    options.global.mip = mip;
-    mapping::PipelineResult result;
-    bool warm_solved = false;
-    if (prior.has_value() && prior->num_structures == design.size() &&
-        prior->num_types == board->num_types() &&
-        prior->type_of_by_rank.size() == design.size()) {
-      // NEAR MISS: same structure/board/contract, different traffic.
-      // Re-solve incrementally from the cached assignment — B&B seeded
-      // with the prior mapping, traffic-unchanged structures pinned, a
-      // small migration term biasing toward stability (remap.hpp).  The
-      // result is NOT inserted back: its optimality proof is for the
-      // pinned model, and the cache only serves unconstrained proofs.
-      std::vector<int> prior_type_of(design.size(), -1);
-      mapping::RemapOptions remap_options;
-      remap_options.pipeline = options;
-      remap_options.migration_penalty = options_.near_miss_migration_penalty;
-      bool aligned = true;
-      for (std::size_t d = 0; d < design.size() && aligned; ++d) {
-        const std::size_t r = fp.structure_rank[d];
-        const int tr = prior->type_of_by_rank[r];
-        aligned = tr >= 0 && tr < static_cast<int>(board->num_types());
-        if (!aligned) break;
-        prior_type_of[d] =
-            static_cast<int>(type_by_rank[static_cast<std::size_t>(tr)]);
-        if (fp.param_hash_by_rank[r] == prior->param_hash_by_rank[r]) {
-          remap_options.pinned_structures.push_back(d);
-        }
-      }
-      if (aligned) {
-        mapping::RemapResult warm =
-            mapping::remap(design, *board, prior_type_of, remap_options);
-        result = std::move(warm.result);
-        near_miss = true;
-        warm_solved = true;
-      }
-    }
-    if (!warm_solved) result = mapping::map_pipeline(design, *board, options);
-    status = result.status;
-    assignment = std::move(result.assignment);
-    detailed = std::move(result.detailed);
-    effort = result.effort;
-    total_effort = effort;
-    mip_result = std::move(result.mip);
-    response.retries = result.retries;
+    outcome = mapping::solve(request.formulation, design, board, mip,
+                             options_.max_threads_per_solve);
   }
+  count_solve(outcome, request.formulation);
 
-  // Fold this solve's effort into the aggregate counters the `stats`
-  // method reports.  `total_effort` counts every solve the request
-  // triggered — pipeline retries, and for sharded requests the whole
-  // candidate fan-out including solves the stitch discarded — while the
-  // response's own nodes/seconds fields (below) report only the work
-  // behind the returned mapping.
-  {
-    const std::scoped_lock lock(mutex_);
-    ++stats_.solves;
-    stats_.nodes += total_effort.bnb_nodes;
-    stats_.lp_iterations += total_effort.lp_iterations;
-    stats_.refactorizations += total_effort.lp_refactorizations;
-    stats_.basis += total_effort.basis;
-    if (request.sharded) {
-      ++stats_.sharded_requests;
-      stats_.shard_solves += shard_stats.candidate_solves;
-    }
-    // The request consulted the cache and a solve ran anyway: a miss
-    // (near_misses / verify_fails break the misses down further).
-    if (cacheable) {
-      ++stats_.cache.misses;
-      if (near_miss) ++stats_.cache.near_misses;
-      if (verify_failed) ++stats_.cache.verify_fails;
-    } else {
-      ++stats_.cache.bypasses;
-    }
-  }
-
-  response.status = classify(status, mip_result);
-  // A watchdog kill travels through the ordinary cancellation machinery
-  // (the solver stops with kCancelled); the token's cause upgrades the
-  // wire status so clients can tell "you cancelled it" from "the server
-  // killed a wedged solve" — only the latter is worth retrying.
-  if (response.status == ResponseStatus::kCancelled && token->stalled()) {
-    response.status = ResponseStatus::kStalled;
-    response.stop_reason = "stalled";
-  }
-  // Verify-fail cold solves are explicitly NOT degraded: corruption was
-  // detected and the client got a fresh full-fidelity solve.  The marker
-  // (plus the verify_fails counter) is what monitoring alerts on.
-  if (verify_failed) response.degraded = 0;
-  // A result payload only when the solve produced a usable mapping —
-  // i.e. detailed placement succeeded.  This excludes both a
-  // timeout/cancel/infeasible with no incumbent (whose
-  // default-constructed objective of 0 would read as a perfect score)
-  // and a retry-loop early exit whose stale global assignment never
-  // packed (objective without placements).
-  if (detailed.success && assignment.complete()) {
-    response.has_result = true;
-    response.solve_status = lp::to_string(status);
-    if (mip_result.stop_reason != SolveStatus::kOptimal &&
-        response.status != ResponseStatus::kStalled) {
-      response.stop_reason = lp::to_string(mip_result.stop_reason);
-    }
-    response.objective = assignment.objective;
-    response.nodes = effort.bnb_nodes;
-    response.seconds = effort.total_seconds();
-  }
-  if (response.status == ResponseStatus::kError) {
-    response.error =
-        "solver failed: " + std::string(lp::to_string(status));
-  }
-  // Taxonomy for solve outcomes: timeouts, stalls, and internal solver
-  // failures are transient server-side conditions (retryable); cancelled
-  // and infeasible are deterministic for this request.
-  response.retryable = response.status == ResponseStatus::kTimeout ||
-                       response.status == ResponseStatus::kStalled ||
-                       response.status == ResponseStatus::kError;
-  if (detailed.success) append_placements(response, design, *board, detailed);
-
-  // Insert only fully PROVED cold results: solve status optimal AND the
-  // B&B ran to its proof (stop_reason optimal), so node/time budgets
-  // never need to join the fingerprint and a replay is exactly what a
-  // fresh solve would return.  Near-miss results stay out — their proof
-  // is for the pinned model.
-  if (cacheable && !near_miss &&
-      status == SolveStatus::kOptimal &&
-      mip_result.stop_reason == SolveStatus::kOptimal && detailed.success &&
-      assignment.complete() && assignment.type_of.size() == design.size()) {
-    CacheEntry entry;
-    entry.key = fp.full;
-    entry.structural = fp.structural;
-    entry.num_structures = design.size();
-    entry.num_types = board->num_types();
-    entry.type_of_by_rank.assign(design.size(), -1);
-    bool canonical = true;
-    for (std::size_t d = 0; d < design.size() && canonical; ++d) {
-      const int t = assignment.type_of[d];
-      canonical = t >= 0 && t < static_cast<int>(board->num_types());
-      if (canonical) {
-        entry.type_of_by_rank[fp.structure_rank[d]] = static_cast<int>(
-            fp.type_rank[static_cast<std::size_t>(t)]);
-      }
-    }
-    entry.fragments_by_rank.reserve(detailed.fragments.size());
-    for (const mapping::PlacedFragment& f : detailed.fragments) {
-      if (!canonical) break;
-      canonical = f.ds < design.size() && f.type < board->num_types();
-      if (canonical) {
-        mapping::PlacedFragment canon = f;
-        canon.ds = fp.structure_rank[f.ds];
-        canon.type = fp.type_rank[f.type];
-        entry.fragments_by_rank.push_back(canon);
-      }
-    }
-    if (canonical) {
-      entry.param_hash_by_rank = fp.param_hash_by_rank;
-      entry.objective = assignment.objective;
-      entry.retries = response.retries;
-      entry.solve_status = lp::to_string(status);
-      cache_.insert(std::move(entry));
-    }
-  }
-  finish(std::move(response));
+  // ---- respond and insert ----------------------------------------------
+  respond(outcome, *token, cache.verify_failed, design, board, response);
+  // Near-miss results stay out of the cache: their proof is for the
+  // pinned model, and the cache only serves unconstrained proofs.
+  if (cacheable && !cache.near_miss) remember(fp, outcome);
+  finish(std::move(response), cache);
 }
 
-void MappingService::finish(Response response) {
+void MappingService::record_pickup(Clock::time_point admitted) {
+  // Fold this request's observed queue wait into the overload signal.
+  // Recorded unconditionally (shedding enabled or not) so the EWMA is
+  // warm the moment an operator turns the threshold on.
+  const double delay_ms =
+      std::chrono::duration<double, std::milli>(Clock::now() - admitted)
+          .count();
+  const std::scoped_lock lock(mutex_);
+  queue_delay_ewma_ms_ = queue_delay_ewma_ms_ == 0.0
+                             ? delay_ms
+                             : 0.7 * queue_delay_ewma_ms_ + 0.3 * delay_ms;
+}
+
+std::shared_ptr<std::atomic<std::int64_t>> MappingService::watch(
+    const std::string& id) {
+  // From here the solve is RUNNING: register the liveness counter so the
+  // watchdog starts judging it.  The registration instant counts as the
+  // last progress change, so a fresh solve gets one full window to
+  // produce its first node.
+  auto progress = std::make_shared<std::atomic<std::int64_t>>(0);
+  const std::scoped_lock lock(mutex_);
+  const auto it = active_.find(id);
+  if (it != active_.end()) {
+    it->second.progress = progress;
+    it->second.last_progress = 0;
+    it->second.last_change = Clock::now();
+  }
+  return progress;
+}
+
+std::string MappingService::resolve(const MapRequest& request,
+                                    Resolved& out) const {
+  // The board: inline text wins, else the named catalog entry.
+  if (!request.board_text.empty()) {
+    arch::BoardParseResult parsed =
+        arch::parse_board_string(request.board_text);
+    if (!parsed.ok) return "board_text: " + parsed.error;
+    out.inline_board = std::move(parsed.board);
+    out.board = &out.inline_board;
+  } else {
+    out.board = find_board(request.board_name);
+    if (out.board == nullptr) {
+      return request.board_name.empty()
+                 ? "no boards loaded and no board_text given"
+                 : "unknown board '" + request.board_name + "'";
+    }
+  }
+  // The design: inline text or a server-side file.
+  std::string file_text;
+  if (request.design_text.empty()) {
+    std::ifstream file(request.design_path);
+    if (!file) return "cannot open '" + request.design_path + "'";
+    std::ostringstream content;
+    content << file.rdbuf();
+    file_text = content.str();
+  }
+  design::DesignParseResult parsed = design::parse_design_string(
+      request.design_text.empty() ? file_text : request.design_text);
+  if (!parsed.ok) return "design: " + parsed.error;
+  if (parsed.design.size() == 0) return "design has no segments";
+  out.design = std::move(parsed.design);
+  return {};
+}
+
+void MappingService::poison(const Fingerprint& key, const std::string& id) {
+  // Left in place, the entry would verify-fail on every future
+  // resubmission of this request.
+  cache_.erase(key);
+  // Alert once per fingerprint — repeated corruption of the same entry
+  // (or a hot key being resubmitted) must not storm the log.
+  const std::scoped_lock lock(mutex_);
+  if (logged_poisoned_.insert(key).second) {
+    GMM_LOG(kWarn) << "cache: poisoned entry evicted, fingerprint " << key.hi
+                   << ":" << key.lo
+                   << " failed replay verification (request '" << id
+                   << "'); answering with a cold solve";
+  }
+}
+
+void MappingService::count_solve(const mapping::Outcome& outcome,
+                                 mapping::Formulation formulation) {
+  // The aggregate counters count every solve the request triggered —
+  // pipeline retries, and for sharded requests the whole candidate
+  // fan-out including solves the stitch discarded — while the response's
+  // own nodes/seconds fields report only the work behind the returned
+  // mapping.
+  const bool sharded = formulation == mapping::Formulation::kSharded;
+  const mapping::SolveEffort& work =
+      sharded ? outcome.total_effort : outcome.effort;
+  const std::scoped_lock lock(mutex_);
+  ++stats_.solves;
+  stats_.nodes += work.bnb_nodes;
+  stats_.lp_iterations += work.lp_iterations;
+  stats_.refactorizations += work.lp_refactorizations;
+  stats_.basis += work.basis;
+  if (sharded) {
+    ++stats_.sharded_requests;
+    stats_.shard_solves += outcome.shard.candidate_solves;
+  }
+}
+
+void MappingService::remember(const RequestFingerprint& fp,
+                              const mapping::Outcome& outcome) {
+  // Insert only fully PROVED results: solve status optimal AND the B&B
+  // ran to its proof (stop_reason optimal), so node/time budgets never
+  // need to join the fingerprint and a replay is exactly what a fresh
+  // solve would return.
+  if (outcome.status != SolveStatus::kOptimal ||
+      outcome.mip.stop_reason != SolveStatus::kOptimal ||
+      !outcome.detailed.success || !outcome.assignment.complete()) {
+    return;
+  }
+  CacheEntry entry;
+  entry.key = fp.full;
+  entry.structural = fp.structural;
+  if (!to_canonical(fp, outcome.assignment, outcome.detailed, entry)) return;
+  entry.objective = outcome.assignment.objective;
+  entry.retries = outcome.retries;
+  entry.solve_status = lp::to_string(outcome.status);
+  cache_.insert(std::move(entry));
+}
+
+void MappingService::finish(Response response, const CacheTally& cache) {
   // Deregister and COUNT before sinking: a cancel racing this completion
   // is acked found:false once the terminal response is (about to be) on
   // the wire — the protocol's "already finished" contract — and a client
@@ -777,6 +635,20 @@ void MappingService::finish(Response response) {
     if (response.status == ResponseStatus::kCancelled) ++stats_.cancelled;
     if (response.status == ResponseStatus::kTimeout) ++stats_.timed_out;
     if (response.status == ResponseStatus::kStalled) ++stats_.stalled;
+    // Every terminal map response lands in exactly one cache bucket.
+    switch (cache.bucket) {
+      case CacheTally::Bucket::kBypass:
+        ++stats_.cache.bypasses;
+        break;
+      case CacheTally::Bucket::kHit:
+        ++stats_.cache.hits;
+        break;
+      case CacheTally::Bucket::kMiss:
+        ++stats_.cache.misses;
+        if (cache.near_miss) ++stats_.cache.near_misses;
+        if (cache.verify_failed) ++stats_.cache.verify_fails;
+        break;
+    }
   }
   sink_(response);
   {

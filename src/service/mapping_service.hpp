@@ -52,6 +52,8 @@
 #include <vector>
 
 #include "arch/board.hpp"
+#include "design/design.hpp"
+#include "mapping/types.hpp"
 #include "service/protocol.hpp"
 #include "service/solution_cache.hpp"
 #include "support/cancellation.hpp"
@@ -145,11 +147,46 @@ class MappingService {
     Clock::time_point last_change{};
   };
 
+  /// The solution-cache bucket (ServiceStats::Cache) of one map request.
+  /// Every terminal map response lands in exactly one bucket, counted by
+  /// finish(); a request that never consults the cache is a bypass.
+  struct CacheTally {
+    enum class Bucket : std::uint8_t { kBypass, kHit, kMiss };
+    Bucket bucket = Bucket::kBypass;
+    bool near_miss = false;      // a miss answered by a warm remap
+    bool verify_failed = false;  // a miss whose replay failed its check
+  };
+
+  /// The board and design one map request names.
+  struct Resolved {
+    arch::Board inline_board;  // storage for an inline "board_text"
+    const arch::Board* board = nullptr;
+    design::Design design;
+  };
+
   void handle_map(const Request& request);
+  /// Worker body of one admitted map request: queue/progress bookkeeping
+  /// -> resolve board and design -> fingerprint and cache lookup -> solve
+  /// or near-miss remap -> respond and insert.
   void run_map(const std::string& id, int version, const MapRequest& request,
                const support::CancelTokenPtr& token, Clock::time_point admitted);
-  /// Emit the terminal response for `id` and release its registry slot.
-  void finish(Response response);
+  /// Fold a worker pickup's queue wait into the overload EWMA.
+  void record_pickup(Clock::time_point admitted);
+  /// Register `id`'s solver liveness counter with the watchdog.
+  std::shared_ptr<std::atomic<std::int64_t>> watch(const std::string& id);
+  /// Fill `out` from the request; returns the error message, or "".
+  std::string resolve(const MapRequest& request, Resolved& out) const;
+  /// Erase a cache entry whose replay failed verification (logged once
+  /// per fingerprint).
+  void poison(const Fingerprint& key, const std::string& id);
+  /// Fold one solve's effort into the aggregate solver counters.
+  void count_solve(const mapping::Outcome& outcome,
+                   mapping::Formulation formulation);
+  /// Insert a PROVED outcome into the cache under `fp`.
+  void remember(const RequestFingerprint& fp, const mapping::Outcome& outcome);
+  /// Emit the terminal response for `id`, release its registry slot and
+  /// count it, including its cache bucket.
+  void finish(Response response, const CacheTally& cache);
   /// Watchdog thread body: periodically sweep active_ for running solves
   /// whose progress counter has been flat for a full window and
   /// force-cancel them with the stalled cause.

@@ -86,15 +86,15 @@ Request parse_request_line(const std::string& line) {
       return request;
     }
     // "formulation" wins over the oldest-style flat "complete":true flag;
-    // both canonicalize onto the same booleans.
+    // both canonicalize onto the same mapping::Formulation.
     const std::string formulation =
         object.get_string("formulation", object.get_bool("complete", false)
                                              ? "complete"
                                              : "global");
     if (formulation == "complete") {
-      request.map.complete = true;
+      request.map.formulation = mapping::Formulation::kComplete;
     } else if (formulation == "sharded") {
-      request.map.sharded = true;
+      request.map.formulation = mapping::Formulation::kSharded;
     } else if (formulation != "global") {
       request.error =
           "'formulation' must be 'global', 'complete' or 'sharded'";

@@ -95,6 +95,7 @@
 #include <vector>
 
 #include "lp/basis.hpp"
+#include "mapping/types.hpp"
 #include "service/json.hpp"
 #include "service/solver_knobs.hpp"
 
@@ -190,8 +191,7 @@ struct MapRequest {
   std::string board_text;   // inline board description; overrides the name
   std::string design_text;  // inline design description
   std::string design_path;  // or a file path the server reads
-  bool complete = false;    // solve the flat "complete" formulation
-  bool sharded = false;     // multi-device partition/fan-out/stitch mapper
+  mapping::Formulation formulation = mapping::Formulation::kGlobal;
   SolverKnobs knobs;        // per-request solver controls ("options")
   double deadline_ms = -1.0;  // < 0 = no deadline
 };

@@ -238,6 +238,78 @@ RequestFingerprint fingerprint_request(const design::Design& design,
   return out;
 }
 
+bool to_canonical(const RequestFingerprint& fp,
+                  const mapping::GlobalAssignment& assignment,
+                  const mapping::DetailedMapping& detailed,
+                  CacheEntry& entry) {
+  const std::size_t n = fp.structure_rank.size();
+  const std::size_t types = fp.type_rank.size();
+  if (assignment.type_of.size() != n) return false;
+  entry.num_structures = n;
+  entry.num_types = types;
+  entry.type_of_by_rank.assign(n, -1);
+  for (std::size_t d = 0; d < n; ++d) {
+    const int t = assignment.type_of[d];
+    if (t < 0 || t >= static_cast<int>(types)) return false;
+    entry.type_of_by_rank[fp.structure_rank[d]] =
+        static_cast<int>(fp.type_rank[static_cast<std::size_t>(t)]);
+  }
+  entry.fragments_by_rank.clear();
+  entry.fragments_by_rank.reserve(detailed.fragments.size());
+  for (const mapping::PlacedFragment& f : detailed.fragments) {
+    if (f.ds >= n || f.type >= types) return false;
+    mapping::PlacedFragment& canon = entry.fragments_by_rank.emplace_back(f);
+    canon.ds = fp.structure_rank[f.ds];
+    canon.type = fp.type_rank[f.type];
+  }
+  entry.param_hash_by_rank = fp.param_hash_by_rank;
+  return true;
+}
+
+bool from_canonical(const RequestFingerprint& fp, const CacheEntry& entry,
+                    std::vector<int>& type_of,
+                    mapping::DetailedMapping* detailed) {
+  const std::size_t n = fp.structure_rank.size();
+  const std::size_t types = fp.type_rank.size();
+  if (entry.num_structures != n || entry.num_types != types ||
+      entry.type_of_by_rank.size() != n) {
+    return false;
+  }
+  std::vector<std::size_t> type_by_rank(types);
+  for (std::size_t t = 0; t < types; ++t) type_by_rank[fp.type_rank[t]] = t;
+  type_of.assign(n, -1);
+  for (std::size_t d = 0; d < n; ++d) {
+    const int tr = entry.type_of_by_rank[fp.structure_rank[d]];
+    if (tr < 0 || tr >= static_cast<int>(types)) return false;
+    type_of[d] = static_cast<int>(type_by_rank[static_cast<std::size_t>(tr)]);
+  }
+  if (detailed == nullptr) return true;
+  std::vector<std::size_t> ds_by_rank(n);
+  for (std::size_t d = 0; d < n; ++d) ds_by_rank[fp.structure_rank[d]] = d;
+  detailed->fragments.clear();
+  detailed->fragments.reserve(entry.fragments_by_rank.size());
+  for (const mapping::PlacedFragment& f : entry.fragments_by_rank) {
+    if (f.ds >= n || f.type >= types) return false;
+    mapping::PlacedFragment& placed = detailed->fragments.emplace_back(f);
+    placed.ds = ds_by_rank[f.ds];
+    placed.type = type_by_rank[f.type];
+  }
+  detailed->success = true;
+  return true;
+}
+
+std::vector<std::size_t> unchanged_structures(const RequestFingerprint& fp,
+                                              const CacheEntry& entry) {
+  std::vector<std::size_t> out;
+  for (std::size_t d = 0; d < fp.structure_rank.size(); ++d) {
+    const std::size_t r = fp.structure_rank[d];
+    if (fp.param_hash_by_rank[r] == entry.param_hash_by_rank[r]) {
+      out.push_back(d);
+    }
+  }
+  return out;
+}
+
 std::optional<CacheEntry> SolutionCache::find(const Fingerprint& key) {
   if (capacity_ == 0) return std::nullopt;
   const std::scoped_lock lock(mutex_);

@@ -83,11 +83,8 @@ struct RequestFingerprint {
 
 /// Formulation tag folded into both fingerprints.  Sharded solves are
 /// never cached (their objective includes a stitch term the replay
-/// verifier cannot recompute), so only the first two appear in practice.
-enum class CachedFormulation : int {
-  kGlobal = 0,
-  kComplete = 1,
-};
+/// verifier cannot recompute), so only kGlobal and kComplete appear.
+using CachedFormulation = mapping::Formulation;
 
 /// Compute both fingerprints and the canonical orderings for a request.
 /// `rel_gap` must be the EFFECTIVE gap the solve will run with (knob
@@ -116,6 +113,30 @@ struct CacheEntry {
   int retries = 0;
   std::string solve_status;  // wire "solve_status" of the original solve
 };
+
+/// Rewrite a request-space mapping into `entry`'s canonical form (sizes,
+/// type_of_by_rank, fragments_by_rank, param_hash_by_rank) through `fp`'s
+/// ranks.  False when an assignment is incomplete or any structure/type
+/// index is out of range for `fp`.
+bool to_canonical(const RequestFingerprint& fp,
+                  const mapping::GlobalAssignment& assignment,
+                  const mapping::DetailedMapping& detailed, CacheEntry& entry);
+
+/// Rewrite `entry`'s canonical mapping back into `fp`'s request index
+/// space: bank type per structure into `type_of` and, when `detailed` is
+/// given, the placed fragments (detailed->success = true).  False when
+/// the entry's sizes differ from the request's or any rank is out of
+/// range.
+bool from_canonical(const RequestFingerprint& fp, const CacheEntry& entry,
+                    std::vector<int>& type_of,
+                    mapping::DetailedMapping* detailed);
+
+/// Structures (request indices) whose full parameter hash equals
+/// `entry`'s at the same canonical rank: unchanged by a traffic mutation,
+/// so the near-miss re-solve may pin them.  `entry` must have passed
+/// from_canonical for `fp`.
+std::vector<std::size_t> unchanged_structures(const RequestFingerprint& fp,
+                                              const CacheEntry& entry);
 
 /// Thread-safe LRU store.  Lookups copy the entry out (a reference could
 /// be evicted by a concurrent insert while the caller replays it).

@@ -173,7 +173,7 @@ TEST_P(MipCancelMidSolve, CancelWhileSolvingSurfacesCancelled) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     token->cancel();
   });
-  const mapping::CompleteResult r =
+  const mapping::Outcome r =
       mapping::map_complete(design, *board, table, options);
   canceller.join();
 

@@ -56,7 +56,7 @@ TEST_P(Table3Determinism, IdenticalObjectivesAcrossThreadsAndCacheModes) {
   const workload::Table3Instance instance = workload::build_instance(point);
   const mapping::CostTable table(instance.design, instance.board);
 
-  const mapping::GlobalResult serial = mapping::map_global(
+  const mapping::Outcome serial = mapping::map_global(
       instance.design, instance.board, table, exact_options(1));
   ASSERT_EQ(serial.status, SolveStatus::kOptimal) << "point " << point.index;
 
@@ -67,7 +67,7 @@ TEST_P(Table3Determinism, IdenticalObjectivesAcrossThreadsAndCacheModes) {
                                 std::size_t{3}}) {
     for (const int threads : {1, 2, 4, 8}) {
       if (threads == 1 && cap == 4096) continue;  // the reference itself
-      const mapping::GlobalResult parallel = mapping::map_global(
+      const mapping::Outcome parallel = mapping::map_global(
           instance.design, instance.board, table,
           exact_options(threads, cap));
       ASSERT_EQ(parallel.status, SolveStatus::kOptimal)
@@ -100,32 +100,6 @@ TEST_P(Table3Determinism, IdenticalObjectivesAcrossThreadsAndCacheModes) {
           << "point " << point.index << ", " << threads << " threads, cap "
           << cap;
     }
-  }
-}
-
-TEST_P(Table3Determinism, IdenticalObjectivesAcrossThreads) {
-  // The parallel-search contract: every thread count proves the SAME
-  // optimum as the serial reference, exactly.
-  const workload::Table3Point& point =
-      workload::table3_points()[static_cast<std::size_t>(GetParam())];
-  const workload::Table3Instance instance = workload::build_instance(point);
-  const mapping::CostTable table(instance.design, instance.board);
-
-  const mapping::GlobalResult reference = mapping::map_global(
-      instance.design, instance.board, table, exact_options(1));
-  ASSERT_EQ(reference.status, SolveStatus::kOptimal) << "point " << point.index;
-
-  for (const int threads : {2, 8}) {
-    const mapping::GlobalResult cell = mapping::map_global(
-        instance.design, instance.board, table, exact_options(threads));
-    ASSERT_EQ(cell.status, SolveStatus::kOptimal)
-        << "point " << point.index << ", " << threads << " threads";
-    EXPECT_EQ(cell.assignment.objective, reference.assignment.objective)
-        << "point " << point.index << ", " << threads << " threads";
-    ASSERT_TRUE(cell.assignment.complete());
-    EXPECT_EQ(table.assignment_objective(cell.assignment.type_of),
-              reference.assignment.objective)
-        << "point " << point.index << ", " << threads << " threads";
   }
 }
 
@@ -171,9 +145,9 @@ TEST(Table3Determinism, SerialRunsAreBitwiseIdentical) {
   const mapping::CostTable table(instance.design, instance.board);
   for (const std::size_t cap : {std::size_t{4096}, std::size_t{0},
                                 std::size_t{3}}) {
-    const mapping::GlobalResult a = mapping::map_global(
+    const mapping::Outcome a = mapping::map_global(
         instance.design, instance.board, table, exact_options(1, cap));
-    const mapping::GlobalResult b = mapping::map_global(
+    const mapping::Outcome b = mapping::map_global(
         instance.design, instance.board, table, exact_options(1, cap));
     ASSERT_EQ(a.status, SolveStatus::kOptimal) << "cap " << cap;
     EXPECT_EQ(a.assignment.objective, b.assignment.objective) << "cap " << cap;
@@ -213,13 +187,13 @@ TEST(Table3Determinism, DefaultGapObjectivesAgreeWithinGap) {
         workload::table3_points()[static_cast<std::size_t>(index)]);
     const mapping::CostTable table(instance.design, instance.board);
     mapping::GlobalOptions defaults;
-    const mapping::GlobalResult serial = mapping::map_global(
+    const mapping::Outcome serial = mapping::map_global(
         instance.design, instance.board, table, defaults);
     ASSERT_EQ(serial.status, SolveStatus::kOptimal) << "index " << index;
     for (const int threads : {2, 8}) {
       mapping::GlobalOptions options;
       options.mip.num_threads = threads;
-      const mapping::GlobalResult parallel = mapping::map_global(
+      const mapping::Outcome parallel = mapping::map_global(
           instance.design, instance.board, table, options);
       ASSERT_EQ(parallel.status, SolveStatus::kOptimal)
           << "index " << index << ", " << threads << " threads";

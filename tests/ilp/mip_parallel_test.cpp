@@ -154,9 +154,9 @@ TEST(MipParallel, GlobalMapperAgreesAcrossThreadCounts) {
   mapping::GlobalOptions parallel_options = serial_options;
   parallel_options.mip.num_threads = 8;
 
-  const mapping::GlobalResult serial =
+  const mapping::Outcome serial =
       mapping::map_global(design, *board, table, serial_options);
-  const mapping::GlobalResult parallel =
+  const mapping::Outcome parallel =
       mapping::map_global(design, *board, table, parallel_options);
   ASSERT_EQ(serial.status, SolveStatus::kOptimal);
   ASSERT_EQ(parallel.status, SolveStatus::kOptimal);

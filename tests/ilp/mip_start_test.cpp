@@ -53,7 +53,7 @@ TEST_P(Table3MipStart, FeasibleStartNeverChangesTheProvedOptimum) {
   const workload::Table3Instance instance = workload::build_instance(point);
   const mapping::CostTable table(instance.design, instance.board);
 
-  const mapping::GlobalResult cold = mapping::map_global(
+  const mapping::Outcome cold = mapping::map_global(
       instance.design, instance.board, table, exact_options(1));
   ASSERT_EQ(cold.status, SolveStatus::kOptimal) << "point " << point.index;
   ASSERT_TRUE(cold.assignment.complete());
@@ -70,7 +70,7 @@ TEST_P(Table3MipStart, FeasibleStartNeverChangesTheProvedOptimum) {
     {
       mapping::GlobalOptions options = exact_options(threads);
       options.warm_assignment = cold.assignment.type_of;
-      const mapping::GlobalResult warm = mapping::map_global(
+      const mapping::Outcome warm = mapping::map_global(
           instance.design, instance.board, table, options);
       ASSERT_EQ(warm.status, SolveStatus::kOptimal)
           << "point " << point.index << ", " << threads << " threads";
@@ -83,7 +83,7 @@ TEST_P(Table3MipStart, FeasibleStartNeverChangesTheProvedOptimum) {
     if (greedy.success) {
       mapping::GlobalOptions options = exact_options(threads);
       options.warm_assignment = greedy.assignment.type_of;
-      const mapping::GlobalResult warm = mapping::map_global(
+      const mapping::Outcome warm = mapping::map_global(
           instance.design, instance.board, table, options);
       ASSERT_EQ(warm.status, SolveStatus::kOptimal)
           << "point " << point.index << ", " << threads << " threads";
@@ -101,7 +101,7 @@ TEST_P(Table3MipStart, FeasibleStartNeverChangesTheProvedOptimum) {
     {
       mapping::GlobalOptions options = exact_options(threads);
       options.warm_assignment.assign(instance.design.size(), -1);
-      const mapping::GlobalResult warm = mapping::map_global(
+      const mapping::Outcome warm = mapping::map_global(
           instance.design, instance.board, table, options);
       ASSERT_EQ(warm.status, SolveStatus::kOptimal)
           << "point " << point.index << ", " << threads << " threads";
@@ -119,7 +119,7 @@ TEST_P(Table3MipStart, PinningAtTheOptimumPreservesItExactly) {
   const workload::Table3Instance instance = workload::build_instance(point);
   const mapping::CostTable table(instance.design, instance.board);
 
-  const mapping::GlobalResult cold = mapping::map_global(
+  const mapping::Outcome cold = mapping::map_global(
       instance.design, instance.board, table, exact_options(1));
   ASSERT_EQ(cold.status, SolveStatus::kOptimal) << "point " << point.index;
 
@@ -130,7 +130,7 @@ TEST_P(Table3MipStart, PinningAtTheOptimumPreservesItExactly) {
   for (std::size_t d = 0; d < instance.design.size(); d += 2) {
     options.pinned_structures.push_back(d);
   }
-  const mapping::GlobalResult pinned = mapping::map_global(
+  const mapping::Outcome pinned = mapping::map_global(
       instance.design, instance.board, table, options);
   ASSERT_EQ(pinned.status, SolveStatus::kOptimal) << "point " << point.index;
   EXPECT_EQ(pinned.assignment.objective, cold.assignment.objective)
@@ -147,7 +147,7 @@ TEST_P(Table3MipStart, MigrationPenaltyReportsThePureObjective) {
   const workload::Table3Instance instance = workload::build_instance(point);
   const mapping::CostTable table(instance.design, instance.board);
 
-  const mapping::GlobalResult cold = mapping::map_global(
+  const mapping::Outcome cold = mapping::map_global(
       instance.design, instance.board, table, exact_options(1));
   ASSERT_EQ(cold.status, SolveStatus::kOptimal) << "point " << point.index;
 
@@ -157,7 +157,7 @@ TEST_P(Table3MipStart, MigrationPenaltyReportsThePureObjective) {
   mapping::GlobalOptions options = exact_options(1);
   options.warm_assignment = cold.assignment.type_of;
   options.migration_penalty = 0.25;
-  const mapping::GlobalResult warm = mapping::map_global(
+  const mapping::Outcome warm = mapping::map_global(
       instance.design, instance.board, table, options);
   ASSERT_EQ(warm.status, SolveStatus::kOptimal) << "point " << point.index;
   EXPECT_EQ(warm.assignment.objective, cold.assignment.objective)

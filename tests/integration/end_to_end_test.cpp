@@ -20,7 +20,7 @@ TEST(EndToEnd, SmallestTable3PointFullPipeline) {
   // Global/detailed; zero-gap options so the parity comparison is exact.
   mapping::PipelineOptions pipeline_options;
   pipeline_options.global.mip.rel_gap = 1e-9;
-  const mapping::PipelineResult pipeline = mapping::map_pipeline(
+  const mapping::Outcome pipeline = mapping::map_pipeline(
       instance.design, instance.board, pipeline_options);
   ASSERT_EQ(pipeline.status, lp::SolveStatus::kOptimal);
   ASSERT_TRUE(pipeline.detailed.success) << pipeline.detailed.failure;
@@ -33,7 +33,7 @@ TEST(EndToEnd, SmallestTable3PointFullPipeline) {
   const mapping::CostTable table(instance.design, instance.board);
   mapping::CompleteOptions complete_options;
   complete_options.mip.rel_gap = 1e-9;
-  const mapping::CompleteResult complete = mapping::map_complete(
+  const mapping::Outcome complete = mapping::map_complete(
       instance.design, instance.board, table, complete_options);
   ASSERT_EQ(complete.status, lp::SolveStatus::kOptimal);
   EXPECT_NEAR(complete.assignment.objective, pipeline.assignment.objective,
@@ -65,7 +65,7 @@ TEST(EndToEnd, SmallestTable3PointFullPipeline) {
 TEST(EndToEnd, GlobalObjectiveMatchesCostTableRecomputation) {
   const workload::Table3Instance instance =
       workload::build_instance(workload::table3_points()[1]);
-  const mapping::PipelineResult pipeline =
+  const mapping::Outcome pipeline =
       mapping::map_pipeline(instance.design, instance.board);
   ASSERT_EQ(pipeline.status, lp::SolveStatus::kOptimal);
   const mapping::CostTable table(instance.design, instance.board);
@@ -80,7 +80,7 @@ TEST(EndToEnd, DetailedMappingNeverChangesTheGlobalCost) {
   // cost-neutral because instances of a type are interchangeable).
   const workload::Table3Instance instance =
       workload::build_instance(workload::table3_points()[2]);
-  const mapping::PipelineResult pipeline =
+  const mapping::Outcome pipeline =
       mapping::map_pipeline(instance.design, instance.board);
   ASSERT_EQ(pipeline.status, lp::SolveStatus::kOptimal);
   ASSERT_TRUE(pipeline.detailed.success);

@@ -36,7 +36,7 @@ TEST_P(PipelineFuzz, EveryOutcomeIsSoundAndSimulable) {
 
   mapping::PipelineOptions pipeline_options;
   pipeline_options.global.mip.time_limit_seconds = 20;
-  const mapping::PipelineResult r =
+  const mapping::Outcome r =
       mapping::map_pipeline(design, *board, pipeline_options);
 
   if (r.status == lp::SolveStatus::kOptimal ||

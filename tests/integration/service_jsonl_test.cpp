@@ -131,7 +131,7 @@ TEST(ServiceJsonl, FullSessionAgainstRealServer) {
     // Correctness: the served objective matches a local deterministic
     // (1-thread) run of the same pipeline, and every segment is placed
     // on a bank type that exists on the board.
-    const mapping::PipelineResult local =
+    const mapping::Outcome local =
         mapping::map_pipeline(designs[static_cast<std::size_t>(i)], board);
     ASSERT_EQ(local.status, lp::SolveStatus::kOptimal);
     EXPECT_NEAR(r.objective, local.assignment.objective,

@@ -40,7 +40,7 @@ TEST(BatchMapper, MatchesSerialPipelinePerItem) {
   EXPECT_TRUE(batch.all_succeeded());
 
   for (std::size_t i = 0; i < designs.size(); ++i) {
-    const PipelineResult serial = map_pipeline(designs[i], *board);
+    const Outcome serial = map_pipeline(designs[i], *board);
     ASSERT_EQ(batch.results[i].status, serial.status) << "item " << i;
     EXPECT_NEAR(batch.results[i].assignment.objective,
                 serial.assignment.objective,

@@ -26,7 +26,7 @@ TEST(CompleteMapper, SolvesSmallDesign) {
   design.add(ds("b", 256, 16));
   design.set_all_conflicting();
   const CostTable table(design, board);
-  const CompleteResult r = map_complete(design, board, table);
+  const Outcome r = map_complete(design, board, table);
   ASSERT_EQ(r.status, lp::SolveStatus::kOptimal);
   EXPECT_TRUE(r.assignment.complete());
   EXPECT_TRUE(r.detailed.success);
@@ -42,8 +42,8 @@ TEST(CompleteMapper, FlatModelIsMuchBiggerThanGlobal) {
   }
   design.set_all_conflicting();
   const CostTable table(design, board);
-  const GlobalResult global = map_global(design, board, table);
-  const CompleteResult complete = map_complete(design, board, table);
+  const Outcome global = map_global(design, board, table);
+  const Outcome complete = map_complete(design, board, table);
   ASSERT_EQ(global.status, lp::SolveStatus::kOptimal);
   ASSERT_EQ(complete.status, lp::SolveStatus::kOptimal);
   // The paper's point: the flat formulation explodes with instances.
@@ -80,8 +80,8 @@ TEST_P(ParitySweep, GlobalMatchesCompleteObjective) {
   global_options.mip.rel_gap = 1e-9;
   CompleteOptions complete_options;
   complete_options.mip.rel_gap = 1e-9;
-  const GlobalResult global = map_global(design, board, table, global_options);
-  const CompleteResult complete =
+  const Outcome global = map_global(design, board, table, global_options);
+  const Outcome complete =
       map_complete(design, board, table, complete_options);
   if (global.status == lp::SolveStatus::kInfeasible) {
     // The flat formulation must agree on infeasibility.
@@ -119,8 +119,8 @@ TEST(CompleteMapper, HeuristicOnOffSameOptimum) {
   without.use_packing_heuristic = false;
   with.mip.rel_gap = 1e-9;
   without.mip.rel_gap = 1e-9;
-  const CompleteResult a = map_complete(design, board, table, with);
-  const CompleteResult b = map_complete(design, board, table, without);
+  const Outcome a = map_complete(design, board, table, with);
+  const Outcome b = map_complete(design, board, table, without);
   ASSERT_EQ(a.status, lp::SolveStatus::kOptimal);
   ASSERT_EQ(b.status, lp::SolveStatus::kOptimal);
   EXPECT_NEAR(a.assignment.objective, b.assignment.objective, 1e-6);

@@ -69,7 +69,7 @@ TEST(DetailedIlp, NeverWorseThanConstructivePacker) {
                     rng.uniform_int(1, 16)));
     }
     design.set_all_conflicting();
-    const PipelineResult pipeline = map_pipeline(design, board);
+    const Outcome pipeline = map_pipeline(design, board);
     if (pipeline.status != lp::SolveStatus::kOptimal) continue;
     const CostTable table(design, board);
     DetailedOptions packer_options;

@@ -14,7 +14,7 @@ namespace {
 TEST(EdgeCases, EmptyDesignMapsTrivially) {
   const arch::Board board = arch::single_fpga_board("XCV50", 1);
   design::Design design("empty");
-  const PipelineResult r = map_pipeline(design, board);
+  const Outcome r = map_pipeline(design, board);
   EXPECT_EQ(r.status, lp::SolveStatus::kOptimal);
   EXPECT_TRUE(r.detailed.success);
   EXPECT_TRUE(r.detailed.fragments.empty());
@@ -29,7 +29,7 @@ TEST(EdgeCases, SingleBitStructure) {
   one.width = 1;
   design.add(one);
   design.set_all_conflicting();
-  const PipelineResult r = map_pipeline(design, board);
+  const Outcome r = map_pipeline(design, board);
   ASSERT_EQ(r.status, lp::SolveStatus::kOptimal);
   ASSERT_EQ(r.detailed.fragments.size(), 1u);
   EXPECT_TRUE(
@@ -48,7 +48,7 @@ TEST(EdgeCases, StructureExactlyFillsBoard) {
   full.width = 8;
   design.add(full);
   design.set_all_conflicting();
-  const PipelineResult r = map_pipeline(design, board);
+  const Outcome r = map_pipeline(design, board);
   ASSERT_EQ(r.status, lp::SolveStatus::kOptimal);
   ASSERT_TRUE(r.detailed.success);
   EXPECT_EQ(r.detailed.instances_used(0), 8);
@@ -66,7 +66,7 @@ TEST(EdgeCases, OneBitOverTheBoardIsInfeasible) {
   too_big.width = 9;  // 36864 > 32768 bits
   design.add(too_big);
   design.set_all_conflicting();
-  const PipelineResult r = map_pipeline(design, board);
+  const Outcome r = map_pipeline(design, board);
   EXPECT_EQ(r.status, lp::SolveStatus::kInfeasible);
 }
 
@@ -83,7 +83,7 @@ TEST(EdgeCases, SingleInstanceType) {
   }
   design.set_all_conflicting();
   // A single-ported single instance can host only one structure (ports).
-  const PipelineResult r = map_pipeline(design, board);
+  const Outcome r = map_pipeline(design, board);
   EXPECT_EQ(r.status, lp::SolveStatus::kInfeasible);
 }
 
@@ -124,7 +124,7 @@ TEST(EdgeCases, WidthOneStructuresOnEveryTier) {
     design.add(s);
   }
   design.set_all_conflicting();
-  const PipelineResult r = map_pipeline(design, board);
+  const Outcome r = map_pipeline(design, board);
   ASSERT_EQ(r.status, lp::SolveStatus::kOptimal);
   EXPECT_TRUE(
       validate_mapping(design, board, r.assignment, r.detailed).empty());

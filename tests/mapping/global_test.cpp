@@ -25,7 +25,7 @@ TEST(GlobalMapper, PrefersOnChipWhenEverythingFits) {
   design.add(ds("b", 256, 16));
   design.set_all_conflicting();
   const CostTable table(design, board);
-  const GlobalResult r = map_global(design, board, table);
+  const Outcome r = map_global(design, board, table);
   ASSERT_EQ(r.status, lp::SolveStatus::kOptimal);
   // On-chip is strictly cheaper and fits both structures.
   EXPECT_EQ(r.assignment.type_of, (std::vector<int>{0, 0}));
@@ -47,7 +47,7 @@ TEST(GlobalMapper, SpillsToOffChipUnderCapacityPressure) {
   design.add(cold);
   design.set_all_conflicting();
   const CostTable table(design, board);
-  const GlobalResult r = map_global(design, board, table);
+  const Outcome r = map_global(design, board, table);
   ASSERT_EQ(r.status, lp::SolveStatus::kOptimal);
   EXPECT_EQ(r.assignment.type_of[0], 0);  // hot on-chip
   EXPECT_EQ(r.assignment.type_of[1], 1);  // cold spilled to SRAM
@@ -60,7 +60,7 @@ TEST(GlobalMapper, InfeasibleWhenNothingFits) {
   design.add(ds("huge", 1 << 20, 64));  // far beyond 32 Kbit
   design.set_all_conflicting();
   const CostTable table(design, board);
-  const GlobalResult r = map_global(design, board, table);
+  const Outcome r = map_global(design, board, table);
   EXPECT_EQ(r.status, lp::SolveStatus::kInfeasible);
 }
 
@@ -76,7 +76,7 @@ TEST(GlobalMapper, PortConstraintForcesSpill) {
   }
   design.set_all_conflicting();
   const CostTable table(design, board);
-  const GlobalResult r = map_global(design, board, table);
+  const Outcome r = map_global(design, board, table);
   ASSERT_EQ(r.status, lp::SolveStatus::kOptimal);
   int on_sram = 0;
   for (const int t : r.assignment.type_of) on_sram += t == 0 ? 1 : 0;
@@ -104,13 +104,13 @@ TEST(GlobalMapper, OverlapAwareCapacityAdmitsMore) {
   const CostTable table(design, board);
   GlobalOptions overlap_on;
   overlap_on.overlap_aware_capacity = true;
-  const GlobalResult with = map_global(design, board, table, overlap_on);
+  const Outcome with = map_global(design, board, table, overlap_on);
   // 3 x 16 Kbit > 32 Kbit, but they never coexist: feasible with overlap.
   ASSERT_EQ(with.status, lp::SolveStatus::kOptimal);
 
   GlobalOptions overlap_off;
   overlap_off.overlap_aware_capacity = false;
-  const GlobalResult without = map_global(design, board, table, overlap_off);
+  const Outcome without = map_global(design, board, table, overlap_off);
   EXPECT_EQ(without.status, lp::SolveStatus::kInfeasible);
 }
 
@@ -120,13 +120,13 @@ TEST(GlobalMapper, NoGoodCutExcludesAssignment) {
   design.add(ds("a", 1024, 4));
   design.set_all_conflicting();
   const CostTable table(design, board);
-  const GlobalResult first = map_global(design, board, table);
+  const Outcome first = map_global(design, board, table);
   ASSERT_EQ(first.status, lp::SolveStatus::kOptimal);
   ASSERT_EQ(first.assignment.type_of[0], 0);
 
   GlobalOptions options;
   options.no_good_cuts.push_back({{0, 0}});  // forbid a -> type 0
-  const GlobalResult second = map_global(design, board, table, options);
+  const Outcome second = map_global(design, board, table, options);
   ASSERT_EQ(second.status, lp::SolveStatus::kOptimal);
   EXPECT_EQ(second.assignment.type_of[0], 1);
   EXPECT_GT(second.assignment.objective, first.assignment.objective);
@@ -151,7 +151,7 @@ TEST(GlobalMapper, NeverWorseThanGreedy) {
     const GreedyResult greedy = map_greedy(design, board, table);
     GlobalOptions options;
     options.mip.rel_gap = 1e-9;  // the comparison needs a proven optimum
-    const GlobalResult global = map_global(design, board, table, options);
+    const Outcome global = map_global(design, board, table, options);
     if (global.status != lp::SolveStatus::kOptimal) continue;
     if (greedy.success) {
       EXPECT_LE(global.assignment.objective,
@@ -167,7 +167,7 @@ TEST(GlobalMapper, ModelSizeReported) {
   for (int i = 0; i < 6; ++i) design.add(ds("s" + std::to_string(i), 512, 8));
   design.set_all_conflicting();
   const CostTable table(design, board);
-  const GlobalResult r = map_global(design, board, table);
+  const Outcome r = map_global(design, board, table);
   ASSERT_EQ(r.status, lp::SolveStatus::kOptimal);
   EXPECT_GT(r.model_size.variables, 0);
   EXPECT_LE(r.model_size.variables,

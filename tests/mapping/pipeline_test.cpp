@@ -25,7 +25,7 @@ TEST(Pipeline, EndToEndOnHierarchicalBoard) {
   design.add(ds("window", 512, 16));
   design.add(ds("frame", 65536, 8));
   design.set_all_conflicting();
-  const PipelineResult r = map_pipeline(design, board);
+  const Outcome r = map_pipeline(design, board);
   ASSERT_EQ(r.status, lp::SolveStatus::kOptimal);
   ASSERT_TRUE(r.detailed.success) << r.detailed.failure;
   EXPECT_EQ(r.retries, 0);
@@ -41,7 +41,7 @@ TEST(Pipeline, ReportsInfeasibleDesigns) {
   design::Design design("d");
   design.add(ds("too_big", 1 << 20, 32));
   design.set_all_conflicting();
-  const PipelineResult r = map_pipeline(design, board);
+  const Outcome r = map_pipeline(design, board);
   EXPECT_EQ(r.status, lp::SolveStatus::kInfeasible);
 }
 
@@ -68,7 +68,7 @@ TEST_P(FirstShotGuarantee, DualPortBoardsNeverRetry) {
   }
   design.set_all_conflicting();
 
-  const PipelineResult r = map_pipeline(design, board);
+  const Outcome r = map_pipeline(design, board);
   if (r.status == lp::SolveStatus::kInfeasible) return;  // legitimately
   ASSERT_EQ(r.status, lp::SolveStatus::kOptimal) << "seed " << GetParam();
   EXPECT_EQ(r.retries, 0) << "seed " << GetParam();
@@ -101,7 +101,7 @@ TEST_P(OverlapSweep, LifetimeOverlapMappingsAreLegal) {
 
   PipelineOptions options;
   options.max_retries = 32;
-  const PipelineResult r = map_pipeline(design, board, options);
+  const Outcome r = map_pipeline(design, board, options);
   if (r.status == lp::SolveStatus::kInfeasible) return;
   ASSERT_EQ(r.status, lp::SolveStatus::kOptimal) << "seed " << GetParam();
   ASSERT_TRUE(r.detailed.success) << r.detailed.failure;
@@ -117,7 +117,7 @@ TEST(Pipeline, EffortBreakdownPopulated) {
   design::Design design("d");
   for (int i = 0; i < 10; ++i) design.add(ds("s" + std::to_string(i), 256, 8));
   design.set_all_conflicting();
-  const PipelineResult r = map_pipeline(design, board);
+  const Outcome r = map_pipeline(design, board);
   ASSERT_EQ(r.status, lp::SolveStatus::kOptimal);
   EXPECT_GE(r.effort.preprocess_seconds, 0.0);
   EXPECT_GT(r.effort.total_seconds(), 0.0);

@@ -38,12 +38,11 @@ design::Design fft_like_design() {
 
 /// Field-for-field equality with the plain pipeline result: the 1-device
 /// degeneration contract is IDENTICAL output, not merely equal cost.
-void expect_matches_pipeline(const ShardResult& sharded,
-                             const PipelineResult& pipeline) {
+void expect_matches_pipeline(const Outcome& sharded,
+                             const Outcome& pipeline) {
   EXPECT_EQ(sharded.status, pipeline.status);
   EXPECT_EQ(sharded.assignment.type_of, pipeline.assignment.type_of);
   EXPECT_EQ(sharded.assignment.objective, pipeline.assignment.objective);
-  EXPECT_EQ(sharded.objective, pipeline.assignment.objective);
   EXPECT_EQ(sharded.retries, pipeline.retries);
   EXPECT_EQ(sharded.model_size.variables, pipeline.model_size.variables);
   EXPECT_EQ(sharded.model_size.rows, pipeline.model_size.rows);
@@ -71,12 +70,12 @@ void expect_matches_pipeline(const ShardResult& sharded,
 TEST(ShardMapper, SingleDeviceBoardDegeneratesToPipeline) {
   const arch::Board board = arch::single_fpga_board("XCV300", 4);
   const design::Design design = fft_like_design();
-  const ShardResult sharded = map_sharded(design, board);
-  const PipelineResult pipeline = map_pipeline(design, board);
+  const Outcome sharded = map_sharded(design, board);
+  const Outcome pipeline = map_pipeline(design, board);
   ASSERT_EQ(sharded.status, lp::SolveStatus::kOptimal);
   expect_matches_pipeline(sharded, pipeline);
-  EXPECT_EQ(sharded.stats.shards, 1);
-  EXPECT_EQ(sharded.stats.stitch_cost, 0.0);
+  EXPECT_EQ(sharded.shard.shards, 1);
+  EXPECT_EQ(sharded.shard.stitch_cost, 0.0);
   EXPECT_EQ(sharded.device_of, (std::vector<int>{0, 0, 0, 0}));
 }
 
@@ -86,8 +85,8 @@ TEST(ShardMapper, ExplicitSingleDeviceBoardAlsoDegenerates) {
   board.add_device({.name = "only", .inter_device_pins = 2});
   for (const arch::BankType& type : base.types()) board.add_bank_type(type);
   const design::Design design = fft_like_design();
-  const ShardResult sharded = map_sharded(design, board);
-  const PipelineResult pipeline = map_pipeline(design, board);
+  const Outcome sharded = map_sharded(design, board);
+  const Outcome pipeline = map_pipeline(design, board);
   ASSERT_EQ(sharded.status, lp::SolveStatus::kOptimal);
   expect_matches_pipeline(sharded, pipeline);
 }
@@ -101,10 +100,10 @@ TEST(ShardMapper, ZeroBankDeviceIsSkippedNotCrashed) {
   board.add_device({.name = "live", .inter_device_pins = 2});
   for (const arch::BankType& type : base.types()) board.add_bank_type(type);
   const design::Design design = fft_like_design();
-  const ShardResult sharded = map_sharded(design, board);
+  const Outcome sharded = map_sharded(design, board);
   ASSERT_EQ(sharded.status, lp::SolveStatus::kOptimal);
-  EXPECT_EQ(sharded.stats.skipped_devices, 1);
-  EXPECT_EQ(sharded.stats.shards, 1);
+  EXPECT_EQ(sharded.shard.skipped_devices, 1);
+  EXPECT_EQ(sharded.shard.shards, 1);
   // Every structure lands on the live device (index 1).
   EXPECT_EQ(sharded.device_of, (std::vector<int>{1, 1, 1, 1}));
   expect_matches_pipeline(sharded, map_pipeline(design, board));
@@ -113,7 +112,7 @@ TEST(ShardMapper, ZeroBankDeviceIsSkippedNotCrashed) {
   arch::Board dead("dead");
   dead.add_device({.name = "a"});
   dead.add_device({.name = "b"});
-  const ShardResult hopeless = map_sharded(design, dead);
+  const Outcome hopeless = map_sharded(design, dead);
   EXPECT_EQ(hopeless.status, lp::SolveStatus::kInfeasible);
 }
 
@@ -129,10 +128,10 @@ TEST(ShardMapper, ZeroBankDeviceAmongUsableMultiDevice) {
   for (const arch::BankType& type : base.types()) board.add_bank_type(type);
 
   const design::Design design = fft_like_design();
-  const ShardResult r = map_sharded(design, board);
+  const Outcome r = map_sharded(design, board);
   ASSERT_TRUE(r.status == lp::SolveStatus::kOptimal ||
               r.status == lp::SolveStatus::kFeasible);
-  EXPECT_EQ(r.stats.skipped_devices, 1);
+  EXPECT_EQ(r.shard.skipped_devices, 1);
   for (const int dev : r.device_of) EXPECT_NE(dev, 1);
   EXPECT_TRUE(
       validate_mapping(design, board, r.assignment, r.detailed).empty());
@@ -163,19 +162,19 @@ TEST(ShardMapper, DeterminismGridAcrossDevicesAndThreads) {
       options.pipeline.global.mip.rel_gap = 0.0;
       options.pipeline.global.mip.abs_gap = 0.0;
       options.pipeline.global.mip.num_threads = threads;
-      options.num_workers = static_cast<std::size_t>(threads);
-      const ShardResult r = map_sharded(design, board, options);
+      options.thread_budget = threads * threads;
+      const Outcome r = map_sharded(design, board, options);
       ASSERT_EQ(r.status, lp::SolveStatus::kOptimal)
           << devices << " devices, " << threads << " threads";
       EXPECT_TRUE(
           validate_mapping(design, board, r.assignment, r.detailed).empty())
           << devices << " devices, " << threads << " threads";
       if (first) {
-        reference = r.objective;
+        reference = r.assignment.objective;
         reference_types = r.assignment.type_of;
         first = false;
       } else {
-        EXPECT_EQ(r.objective, reference)
+        EXPECT_EQ(r.assignment.objective, reference)
             << devices << " devices, " << threads << " threads";
         EXPECT_EQ(r.assignment.type_of, reference_types)
             << devices << " devices, " << threads << " threads";
@@ -197,9 +196,9 @@ TEST(ShardMapper, StitchCostMatchesCutAndPins) {
   gen.target_port_utilization = 0.35;
   gen.target_bit_utilization = 0.25;
   const design::Design design = workload::generate_design(board, gen);
-  const ShardResult r = map_sharded(design, board);
+  const Outcome r = map_sharded(design, board);
   ASSERT_EQ(r.status, lp::SolveStatus::kOptimal);
-  ASSERT_GT(r.stats.shards, 1);
+  ASSERT_GT(r.shard.shards, 1);
 
   double expected = 0.0;
   std::int64_t cut = 0;
@@ -216,11 +215,10 @@ TEST(ShardMapper, StitchCostMatchesCutAndPins) {
             board.device(static_cast<std::size_t>(r.device_of[b]))
                 .inter_device_pins);
   }
-  EXPECT_EQ(r.stats.cut_edges, cut);
-  EXPECT_DOUBLE_EQ(r.stats.stitch_cost, expected);
+  EXPECT_EQ(r.shard.cut_edges, cut);
+  EXPECT_DOUBLE_EQ(r.shard.stitch_cost, expected);
   // The stitched objective includes the transfer term exactly once.
-  EXPECT_DOUBLE_EQ(r.objective, r.assignment.objective);
-  EXPECT_GE(r.objective, r.stats.stitch_cost);
+  EXPECT_GE(r.assignment.objective, r.shard.stitch_cost);
 }
 
 TEST(ShardMapper, RepairMigratesOffUnplaceablePart) {
@@ -254,12 +252,12 @@ TEST(ShardMapper, RepairMigratesOffUnplaceablePart) {
   design.add(ds("big", 65536, 8));   // too many bits for the narrow device
   design.add(ds("wide16", 16, 32));  // too wide for the narrow device
 
-  const ShardResult r = map_sharded(design, board);
+  const Outcome r = map_sharded(design, board);
   ASSERT_EQ(r.status, lp::SolveStatus::kOptimal);
   EXPECT_EQ(r.device_of, (std::vector<int>{1, 1}));
-  EXPECT_EQ(r.stats.shards, 1);
-  EXPECT_GE(r.stats.migrations, 1);
-  EXPECT_GE(r.stats.repair_rounds, 1);
+  EXPECT_EQ(r.shard.shards, 1);
+  EXPECT_GE(r.shard.migrations, 1);
+  EXPECT_GE(r.shard.repair_rounds, 1);
   EXPECT_TRUE(
       validate_mapping(design, board, r.assignment, r.detailed).empty());
 }
@@ -273,7 +271,7 @@ TEST(ShardMapper, TrulyUnmappableDesignReportsInfeasible) {
   design.add(ds("vast", 1 << 22, 32));
   design.add(ds("tiny", 64, 8));
   design.set_all_conflicting();
-  const ShardResult r = map_sharded(design, board);
+  const Outcome r = map_sharded(design, board);
   EXPECT_EQ(r.status, lp::SolveStatus::kInfeasible);
 }
 
@@ -285,7 +283,7 @@ TEST(ShardMapper, CancelledBeforeStartReturnsCancelled) {
   auto token = std::make_shared<support::CancelToken>();
   token->cancel();
   options.pipeline.global.mip.cancel_token = token;
-  const ShardResult r = map_sharded(design, board, options);
+  const Outcome r = map_sharded(design, board, options);
   EXPECT_EQ(r.status, lp::SolveStatus::kCancelled);
 }
 

@@ -98,7 +98,7 @@ Request map_request(const std::string& id, std::string design_text,
 /// A request that will keep its worker busy for seconds unless stopped.
 Request slow_request(const std::string& id, double deadline_ms = -1.0) {
   Request r = map_request(id, slow_design_text(), deadline_ms);
-  r.map.complete = true;
+  r.map.formulation = mapping::Formulation::kComplete;
   return r;
 }
 
@@ -168,6 +168,13 @@ TEST(MappingService, ErrorPaths) {
     EXPECT_EQ(r.status, ResponseStatus::kError) << id;
     EXPECT_FALSE(r.error.empty()) << id;
   }
+  // Each failed before the cache was consulted: one bypass apiece.
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.completed, 5);
+  EXPECT_EQ(stats.cache.bypasses, 5);
+  EXPECT_EQ(stats.cache.hits + stats.cache.misses + stats.cache.bypasses,
+            stats.completed);
+  EXPECT_EQ(stats.solves, 0);
 }
 
 TEST(MappingService, DuplicateActiveIdIsRejected) {
@@ -355,12 +362,12 @@ TEST(MappingService, ShardedFormulationMapsMultiDeviceBoards) {
   MappingService service({test_board()}, {.workers = 1}, out.sink());
 
   Request sharded = map_request("sh", quick_design_text());
-  sharded.map.sharded = true;
+  sharded.map.formulation = mapping::Formulation::kSharded;
   sharded.map.board_text = arch::board_to_string(dual);
   service.handle(sharded);
 
   Request degenerate = map_request("deg", quick_design_text());
-  degenerate.map.sharded = true;
+  degenerate.map.formulation = mapping::Formulation::kSharded;
   service.handle(degenerate);
   service.drain();
 
@@ -379,12 +386,21 @@ TEST(MappingService, ShardedFormulationMapsMultiDeviceBoards) {
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.sharded_requests, 2);
   EXPECT_GE(stats.shard_solves, 2);
+  // Sharded requests never consult the cache.
+  EXPECT_EQ(stats.cache.bypasses, 2);
+  EXPECT_EQ(stats.cache.hits + stats.cache.misses + stats.cache.bypasses,
+            stats.completed);
 
   // The degenerate sharded solve costs the same objective as global.
   Request global = map_request("glob", quick_design_text());
   service.handle(global);
   service.drain();
   EXPECT_DOUBLE_EQ(out.only("glob").objective, single.objective);
+  const ServiceStats after = service.stats();
+  EXPECT_EQ(after.cache.bypasses, 2);
+  EXPECT_EQ(after.cache.misses, 1);
+  EXPECT_EQ(after.cache.hits + after.cache.misses + after.cache.bypasses,
+            after.completed);
 }
 
 TEST(MappingService, RemovedPortfolioWireIsRejectedWithoutSolving) {

@@ -179,13 +179,12 @@ TEST(Protocol, ParsesShardedFormulation) {
   const Request r = parse_request_line(
       R"({"id":"r1","method":"map","design_text":"d","formulation":"sharded"})");
   ASSERT_EQ(r.method, Method::kMap);
-  EXPECT_TRUE(r.map.sharded);
-  EXPECT_FALSE(r.map.complete);
+  EXPECT_EQ(r.map.formulation, mapping::Formulation::kSharded);
 
   const Request global = parse_request_line(
       R"({"id":"r2","method":"map","design_text":"d"})");
   ASSERT_EQ(global.method, Method::kMap);
-  EXPECT_FALSE(global.map.sharded);
+  EXPECT_EQ(global.map.formulation, mapping::Formulation::kGlobal);
 
   const Request bad = parse_request_line(
       R"({"id":"r3","method":"map","design_text":"d","formulation":"mystery"})");

@@ -11,7 +11,7 @@ namespace {
 struct Mapped {
   arch::Board board;
   design::Design design;
-  mapping::PipelineResult pipeline;
+  mapping::Outcome pipeline;
 };
 
 Mapped map_simple(bool offchip) {
@@ -93,7 +93,7 @@ TEST(MemorySim, PortContentionCreatesStalls) {
   s.writes = 512;
   design.add(s);
   design.set_all_conflicting();
-  const mapping::PipelineResult pipeline = mapping::map_pipeline(design, board);
+  const mapping::Outcome pipeline = mapping::map_pipeline(design, board);
   ASSERT_TRUE(pipeline.detailed.success);
   const std::vector<Access> trace = generate_trace(design);
   SimOptions wide;
@@ -122,7 +122,7 @@ TEST(MemorySim, DualPortedBankServesTwoStreams) {
     design.add(s);
   }
   design.set_all_conflicting();
-  const mapping::PipelineResult pipeline = mapping::map_pipeline(design, board);
+  const mapping::Outcome pipeline = mapping::map_pipeline(design, board);
   ASSERT_TRUE(pipeline.detailed.success);
   const std::vector<Access> trace = generate_trace(design);
   SimOptions wide;
@@ -154,7 +154,7 @@ TEST(MemorySim, MultiBankWordStripesAcrossColumns) {
   s.writes = 55;
   design.add(s);
   design.set_all_conflicting();
-  const mapping::PipelineResult pipeline = mapping::map_pipeline(design, board);
+  const mapping::Outcome pipeline = mapping::map_pipeline(design, board);
   ASSERT_TRUE(pipeline.detailed.success) << pipeline.detailed.failure;
   const std::vector<Access> trace = generate_trace(design);
   const SimReport report =

@@ -191,7 +191,7 @@ TEST(ServiceStress, MapBatchWithMidBatchCancellation) {
     canceller.join();
 
     ASSERT_EQ(batch.results.size(), items.size());
-    for (const mapping::PipelineResult& r : batch.results) {
+    for (const mapping::Outcome& r : batch.results) {
       EXPECT_TRUE(r.status == lp::SolveStatus::kOptimal ||
                   r.status == lp::SolveStatus::kFeasible ||
                   r.status == lp::SolveStatus::kCancelled)
@@ -222,7 +222,7 @@ TEST(ServiceStress, MapBatchWithSharedDeadline) {
   options.global.mip.cancel_token = token;
   const mapping::BatchResult batch = mapping::map_batch(items, options, 2);
   ASSERT_EQ(batch.results.size(), items.size());
-  for (const mapping::PipelineResult& r : batch.results) {
+  for (const mapping::Outcome& r : batch.results) {
     EXPECT_TRUE(r.status == lp::SolveStatus::kOptimal ||
                 r.status == lp::SolveStatus::kFeasible ||
                 r.status == lp::SolveStatus::kTimeLimit)

@@ -22,7 +22,7 @@ TEST(PlacementReport, RendersInstancesAndFragments) {
   b.width = 8;
   design.add(b);
   design.set_all_conflicting();
-  const mapping::PipelineResult r = mapping::map_pipeline(design, board);
+  const mapping::Outcome r = mapping::map_pipeline(design, board);
   ASSERT_EQ(r.status, lp::SolveStatus::kOptimal);
 
   const std::string text =
@@ -59,7 +59,7 @@ TEST(PlacementReport, SharedBlocksListedOnSameRange) {
     design.add(s);
   }
   design.derive_conflicts_from_lifetimes();  // disjoint -> can share
-  const mapping::PipelineResult r = mapping::map_pipeline(design, board);
+  const mapping::Outcome r = mapping::map_pipeline(design, board);
   ASSERT_EQ(r.status, lp::SolveStatus::kOptimal);
   const std::string text =
       placement_report_to_string(design, board, r.detailed);

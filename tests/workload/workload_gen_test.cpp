@@ -95,7 +95,7 @@ TEST(GenerateDesign, GeneratedDesignsAreMappable) {
     options.num_segments = 22;
     options.seed = seed;
     const design::Design design = generate_design(*board, options);
-    const mapping::PipelineResult r = mapping::map_pipeline(design, *board);
+    const mapping::Outcome r = mapping::map_pipeline(design, *board);
     EXPECT_EQ(r.status, lp::SolveStatus::kOptimal) << "seed " << seed;
     EXPECT_TRUE(r.detailed.success) << r.detailed.failure;
   }
