@@ -277,8 +277,7 @@ int main(int argc, char** argv) {
   table.set_alignment(1, report::Align::kLeft);
   for (std::size_t i = 0; i < designs.size(); ++i) {
     const mapping::Outcome& r = results[i];
-    const bool ok = r.status == lp::SolveStatus::kOptimal ||
-                    r.status == lp::SolveStatus::kFeasible;
+    const bool ok = r.mapped();
     if (ok) ++succeeded;
     table.add_row({designs[i].name(), lp::to_string(r.status),
                    ok ? std::to_string(static_cast<long long>(
