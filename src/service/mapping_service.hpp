@@ -1,9 +1,10 @@
 // Long-lived asynchronous mapping service.
 //
-// The serving-path layer above mapping::map_batch: boards are parsed once
-// at startup (plus optional per-request inline boards) and shared
-// read-only, while map requests fan out over a ThreadPool.  On top of the
-// batch driver's design it adds what a long-lived server needs:
+// The serving-path layer above the mapping::solve dispatch: boards are
+// parsed once at startup (plus optional per-request inline boards) and
+// shared read-only, while map requests fan out over a ThreadPool, the
+// design mapping::map_batch also uses.  On top of it the service adds
+// what a long-lived server needs:
 //
 //   * a BOUNDED admission queue — requests beyond `max_pending`
 //     (queued + in-flight) are rejected immediately instead of building
