@@ -23,9 +23,10 @@
 //   --watchdog-ms N    stall watchdog window: a running solve whose
 //                      progress counter is flat for N ms terminates with
 //                      status "stalled" (default 0 = off)
-//   --max-inflight N   per-client in-flight quota on socket connections
-//                      (default 0 = off; excess maps are rejected at the
-//                      transport with a retry_after_ms hint)
+//   --max-inflight N   per-connection in-flight quota, stdin/stdout
+//                      included (default 0 = off; excess maps are
+//                      rejected at the transport with a retry_after_ms
+//                      hint)
 //   --faults SPEC      arm the deterministic fault injector (see README
 //                      "Operating under failure" for the grammar, e.g.
 //                      "seed=7,socket.write:partial@0.05"); without the
@@ -38,16 +39,23 @@
 // the first file is the default.  Requests may instead carry an inline
 // "board_text".  See README "Mapping service" for the protocol and
 // examples/serve_demo.sh for a scripted session.
+//
+// Without --listen, stdin/stdout is one connection of the same event loop
+// the sockets use (service/socket_server.hpp), with the same framing and
+// limits.  Exit codes: 0 after a clean drain (shutdown, or stdin's EOF
+// once every response is written); 1 when a board file fails to load,
+// the socket cannot be bound, or the stdin/stdout connection is dropped
+// (stdout's reader went away, an unterminated line passed 8 MiB, or the
+// unwritten backlog passed 64 MiB), in which case its in-flight requests
+// are cancelled first; 2 on a usage error.  POSIX-only.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <iostream>
 #include <string>
 #include <vector>
 
 #include "arch/arch_io.hpp"
-#include "service/serve_loop.hpp"
 #include "service/socket_server.hpp"
 #include "support/fault.hpp"
 #include "support/log.hpp"
@@ -173,10 +181,6 @@ int main(int argc, char** argv) {
     boards.push_back(std::move(parsed.board));
   }
 
-  if (!socket_options.listen.empty()) {
-    return service::run_socket_server(socket_options, std::move(boards),
-                                      options);
-  }
-  return service::run_serve_loop(std::cin, std::cout, std::move(boards),
-                                 options);
+  return service::run_socket_server(socket_options, std::move(boards),
+                                    options);
 }

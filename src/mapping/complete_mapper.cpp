@@ -279,6 +279,7 @@ Outcome map_complete(const design::Design& design, const arch::Board& board,
   result.effort.lp_iterations = result.mip.lp_iterations;
   result.effort.lp_refactorizations = result.mip.simplex_refactorizations;
   result.effort.basis = result.mip.basis;
+  result.total_effort = result.effort;
   result.status = result.mip.status;
   if (!result.mip.has_incumbent()) return result;
 

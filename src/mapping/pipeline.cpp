@@ -8,7 +8,9 @@
 
 namespace gmm::mapping {
 
-Outcome map_pipeline(const design::Design& design, const arch::Board& board,
+namespace {
+
+Outcome run_pipeline(const design::Design& design, const arch::Board& board,
                      const PipelineOptions& options) {
   Outcome result;
   support::WallTimer timer;
@@ -77,6 +79,15 @@ Outcome map_pipeline(const design::Design& design, const arch::Board& board,
   }
   result.status = lp::SolveStatus::kNumericalFailure;
   GMM_LOG(kError) << "pipeline: retry budget exhausted";
+  return result;
+}
+
+}  // namespace
+
+Outcome map_pipeline(const design::Design& design, const arch::Board& board,
+                     const PipelineOptions& options) {
+  Outcome result = run_pipeline(design, board, options);
+  result.total_effort = result.effort;  // the retries are already in effort
   return result;
 }
 

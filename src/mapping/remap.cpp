@@ -22,13 +22,14 @@ RemapResult remap(const design::Design& design, const arch::Board& board,
   // board) shows up as infeasibility; the cold path is always available.
   const bool constrained = !warm.global.pinned_structures.empty() ||
                            warm.global.migration_penalty > 0.0;
-  if (options.fallback_to_cold && constrained &&
-      out.result.status != lp::SolveStatus::kCancelled &&
+  if (constrained && out.result.status != lp::SolveStatus::kCancelled &&
       out.result.status != lp::SolveStatus::kTimeLimit) {
     GMM_LOG(kInfo) << "remap: incremental solve failed ("
                    << lp::to_string(out.result.status)
                    << "); falling back to a cold solve";
+    const SolveEffort warm_effort = out.result.total_effort;
     out.result = map_pipeline(design, board, options.pipeline);
+    out.result.total_effort += warm_effort;
     out.warm_used = false;
     out.fell_back_cold = true;
   }

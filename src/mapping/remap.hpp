@@ -19,9 +19,10 @@
 //     remaps (arXiv:2003.10472's "local reconfiguration" regime).  The
 //     reported assignment objective stays the PURE mapping cost.
 //
-// When the pinned solve comes back infeasible (a delta the pins cannot
-// absorb), remap falls back to a full cold solve, so the entry point is
-// never worse than map_pipeline — only faster.
+// When the pinned or penalized solve finds no mapping (a delta the pins
+// cannot absorb), remap falls back to a full cold solve, so the entry
+// point is never worse than map_pipeline — only faster.  The fallback's
+// `total_effort` counts both solves.
 #pragma once
 
 #include <cstdint>
@@ -38,9 +39,6 @@ struct RemapOptions {
   std::vector<std::size_t> pinned_structures;
   /// Extra model cost for moving a structure off its prior type (0 = off).
   double migration_penalty = 0.0;
-  /// Re-run without warm start / pins / penalty when the incremental
-  /// solve cannot find a mapping.
-  bool fallback_to_cold = true;
 };
 
 struct RemapResult {

@@ -1,7 +1,6 @@
 #include "mapping/shard_mapper.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <map>
 #include <numeric>
 #include <string>
@@ -10,7 +9,6 @@
 
 #include "ilp/mip_solver.hpp"
 #include "lp/model.hpp"
-#include "mapping/batch_mapper.hpp"
 #include "support/assert.hpp"
 #include "support/log.hpp"
 #include "support/timer.hpp"
@@ -64,7 +62,6 @@ Outcome map_sharded(support::ThreadPool& pool, const design::Design& design,
     // the lone usable device's view and the plain pipeline result applies
     // unchanged.
     Outcome out = map_pipeline(design, board, options.pipeline);
-    out.total_effort = out.effort;
     const int device = usable.empty() ? -1 : static_cast<int>(usable.front());
     out.device_of.assign(design.size(), out.mapped() ? device : -1);
     out.shard.devices = static_cast<int>(board.num_devices());
@@ -364,53 +361,54 @@ Outcome map_sharded(support::ThreadPool& pool, const design::Design& design,
       continue;
     }
 
-    // Fan the UNCACHED candidate pipelines out over the pool.
+    // Fan the UNCACHED candidate pipelines out over the pool.  A
+    // candidate solved last round starts warm from that round's
+    // assignment.
     std::vector<const Outcome*> results(candidates.size(), nullptr);
     std::vector<std::size_t> uncached;
-    std::vector<BatchItem> items;
-    std::deque<PipelineOptions> warm_options;  // stable addresses for items
+    std::vector<std::vector<int>> warm_starts;  // per uncached; empty = cold
     for (std::size_t c = 0; c < candidates.size(); ++c) {
       const Candidate& cand = candidates[c];
       const auto it = candidate_cache.find(
           candidate_key(members[cand.part], cand.dev));
       if (it != candidate_cache.end()) {
         results[c] = &it->second;
-      } else {
-        uncached.push_back(c);
-        BatchItem item{.design = &subs[cand.part], .board = &views[cand.dev]};
-        const auto prior = last_assignment.find(warm_key(cand.part, cand.dev));
-        if (prior != last_assignment.end()) {
-          std::vector<int> warm(members[cand.part].size(), -1);
-          bool complete = true;
-          for (std::size_t j = 0; j < members[cand.part].size(); ++j) {
-            const auto type = prior->second.find(members[cand.part][j]);
-            if (type == prior->second.end()) {
-              // A freshly migrated-in structure has no prior type here; a
-              // partial start cannot validate, so solve this one cold.
-              complete = false;
-              break;
-            }
-            warm[j] = type->second;
-          }
-          if (complete) {
-            warm_options.push_back(options.pipeline);
-            warm_options.back().global.warm_assignment = std::move(warm);
-            item.options = &warm_options.back();
-          }
+        continue;
+      }
+      uncached.push_back(c);
+      std::vector<int>& warm = warm_starts.emplace_back();
+      const auto prior = last_assignment.find(warm_key(cand.part, cand.dev));
+      if (prior == last_assignment.end()) continue;
+      warm.assign(members[cand.part].size(), -1);
+      for (std::size_t j = 0; j < members[cand.part].size(); ++j) {
+        const auto type = prior->second.find(members[cand.part][j]);
+        if (type == prior->second.end()) {
+          // A freshly migrated-in structure has no prior type here; a
+          // partial start cannot validate, so solve this one cold.
+          warm.clear();
+          break;
         }
-        items.push_back(item);
+        warm[j] = type->second;
       }
     }
-    BatchResult batch = map_batch(pool, items, options.pipeline);
-    out.shard.candidate_solves += static_cast<std::int64_t>(items.size());
+    std::vector<Outcome> solved(uncached.size());
+    support::parallel_for(pool, uncached.size(), [&](std::size_t i) {
+      const Candidate& cand = candidates[uncached[i]];
+      PipelineOptions item = options.pipeline;
+      if (!warm_starts[i].empty()) {
+        item.global.warm_assignment = warm_starts[i];
+      }
+      solved[i] = map_pipeline(subs[cand.part], views[cand.dev], item);
+    });
+    out.shard.candidate_solves += static_cast<std::int64_t>(uncached.size());
     for (std::size_t i = 0; i < uncached.size(); ++i) {
       const Candidate& cand = candidates[uncached[i]];
-      out.total_effort += batch.results[i].effort;
-      if (batch.results[i].mip.mip_start_used) ++out.shard.warm_started;
+      out.total_effort += solved[i].total_effort;
+      if (solved[i].mip.mip_start_used) ++out.shard.warm_started;
       // std::map nodes are stable, so the pointer survives later inserts.
       results[uncached[i]] =
           &(candidate_cache[candidate_key(members[cand.part], cand.dev)] =
-                std::move(batch.results[i]));
+                std::move(solved[i]));
     }
     // Refresh the per-(part, device) prior assignments for the next round.
     for (std::size_t c = 0; c < candidates.size(); ++c) {

@@ -13,7 +13,7 @@
 //      is exactly what the stitch objective charges for;
 //   2. FAN OUT the per-device global/detailed pipelines: every
 //      (part, device) candidate whose bits fit is solved concurrently
-//      over a support::ThreadPool via the map_batch machinery, each
+//      over a support::ThreadPool (support::parallel_for), each
 //      candidate an independent, deterministic map_pipeline run on the
 //      device's single-device board view;
 //   3. STITCH with a small assignment ILP over the candidates: binary
@@ -68,8 +68,9 @@ struct ShardOptions {
 };
 
 /// Shard over a caller-owned pool (shared fan-out workers).  The result's
-/// sharded extras (device_of, total_effort, shard) are set; mip stays
-/// default: no single ILP stands behind a stitched mapping.
+/// sharded extras (device_of, shard) are set and total_effort counts every
+/// candidate solve; mip stays default: no single ILP stands behind a
+/// stitched mapping.
 Outcome map_sharded(support::ThreadPool& pool, const design::Design& design,
                     const arch::Board& board,
                     const ShardOptions& options = {});

@@ -139,11 +139,14 @@ struct Outcome {
   int retries = 0;     // additional global solves after the first
   ilp::MipResult mip;  // of the last global solve or the complete ILP
 
+  /// Total work executed — what capacity accounting should charge.  Equal
+  /// to `effort` except for sharded (plus candidates the stitch discarded
+  /// and repair-round re-solves) and a remap that fell back cold (plus
+  /// the failed warm attempt).
+  SolveEffort total_effort;
+
   // ---- sharded extras (map_sharded only) --------------------------------
   std::vector<int> device_of;  // device per structure, -1 when unmapped
-  /// Total work executed, including candidates the stitch discarded and
-  /// repair-round re-solves — what capacity accounting should charge.
-  SolveEffort total_effort;
   ShardStats shard;
 
   /// The solve produced a usable mapping: an optimal or feasible status

@@ -293,7 +293,7 @@ void MappingService::handle(const Request& request) {
       return;
     }
     case Method::kShutdown:
-      // Draining is the serve loop's job (it must stop feeding requests
+      // Draining is the event loop's job (it must stop feeding requests
       // first); acknowledge so a bare service user still gets a reply.
       sink_(reply(request, "shutdown"));
       return;
@@ -579,20 +579,18 @@ void MappingService::poison(const Fingerprint& key, const std::string& id) {
 void MappingService::count_solve(const mapping::Outcome& outcome,
                                  mapping::Formulation formulation) {
   // The aggregate counters count every solve the request triggered —
-  // pipeline retries, and for sharded requests the whole candidate
-  // fan-out including solves the stitch discarded — while the response's
-  // own nodes/seconds fields report only the work behind the returned
-  // mapping.
-  const bool sharded = formulation == mapping::Formulation::kSharded;
-  const mapping::SolveEffort& work =
-      sharded ? outcome.total_effort : outcome.effort;
+  // pipeline retries, a near miss's failed warm attempt, and for sharded
+  // requests the whole candidate fan-out including solves the stitch
+  // discarded — while the response's own nodes/seconds fields report
+  // only the work behind the returned mapping.
+  const mapping::SolveEffort& work = outcome.total_effort;
   const std::scoped_lock lock(mutex_);
   ++stats_.solves;
   stats_.nodes += work.bnb_nodes;
   stats_.lp_iterations += work.lp_iterations;
   stats_.refactorizations += work.lp_refactorizations;
   stats_.basis += work.basis;
-  if (sharded) {
+  if (formulation == mapping::Formulation::kSharded) {
     ++stats_.sharded_requests;
     stats_.shard_solves += outcome.shard.candidate_solves;
   }

@@ -2,9 +2,8 @@
 //
 // The serving-path layer above the mapping::solve dispatch: boards are
 // parsed once at startup (plus optional per-request inline boards) and
-// shared read-only, while map requests fan out over a ThreadPool, the
-// design mapping::map_batch also uses.  On top of it the service adds
-// what a long-lived server needs:
+// shared read-only, while map requests fan out over a ThreadPool.  On top
+// of it the service adds what a long-lived server needs:
 //
 //   * a BOUNDED admission queue — requests beyond `max_pending`
 //     (queued + in-flight) are rejected immediately instead of building
@@ -31,10 +30,11 @@
 //   * graceful DRAIN — drain() blocks until every admitted request has
 //     emitted its terminal response, which is also the shutdown path.
 //
-// Threading: handle() may be called from one dispatcher thread (the serve
-// loop); responses are delivered through the ResponseSink from worker
-// threads and from handle() itself, concurrently — the sink must be
-// thread-safe (the serve loop serializes writes with a mutex).  Every
+// Threading: handle() may be called from one dispatcher thread (the
+// socket server's event loop); responses are delivered through the
+// ResponseSink from worker threads and from handle() itself, concurrently
+// — the sink must be thread-safe (the event loop answers handle()'s
+// calls in place and queues the workers' for its own thread).  Every
 // admitted map request produces exactly ONE terminal response, whatever
 // races cancel/deadline/completion run into each other.
 #pragma once
@@ -127,7 +127,7 @@ class MappingService {
   void handle(const Request& request);
 
   /// Block until every admitted request has emitted its terminal response.
-  /// New requests may still be admitted afterwards; the serve loop stops
+  /// New requests may still be admitted afterwards; the event loop stops
   /// feeding handle() before draining for shutdown.
   void drain();
 

@@ -243,7 +243,7 @@ Json Response::to_json() const {
     cache["evictions"] = stats.cache.evictions;
     cache["entries"] = stats.cache.entries;
     object["cache"] = std::move(cache);
-    // Only a socket-fronted server has transport traffic; the pipe mode
+    // Only a listening server reports transport traffic; the pipe mode
     // keeps its legacy wire shape.
     if (stats.transport.connections_opened > 0) {
       JsonObject transport;

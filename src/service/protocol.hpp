@@ -77,9 +77,9 @@
 //                 "bytes_sent":391245,"responses_dropped":0,"shed":4}}
 //   stats is answered synchronously: request accounting plus the solver
 //   counters summed over every solve the service has completed.  The
-//   "transport" object appears only when the server fronts socket
-//   clients (see service/socket_server.hpp); the stdin/stdout pipe mode
-//   never emits it.
+//   "transport" object appears only when the server is listening on a
+//   socket (see service/socket_server.hpp); pipe mode counts its one
+//   stdin/stdout connection too but never emits it.
 //
 // Deadline semantics: the clock starts when the request is accepted, so
 // queue wait counts against it (options.time_limit_ms, by contrast,
@@ -168,8 +168,8 @@ struct ServiceStats {
   };
   Cache cache;
 
-  /// Socket-transport counters, folded in by the socket server (all zero
-  /// in stdin/stdout mode; the wire omits the "transport" object then).
+  /// Transport counters, folded in by a listening server (left zero in
+  /// stdin/stdout mode, so the wire omits the "transport" object then).
   struct Transport {
     std::int64_t connections_opened = 0;
     std::int64_t connections_closed = 0;

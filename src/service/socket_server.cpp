@@ -5,6 +5,7 @@
 #include "service/protocol.hpp"
 #include "support/fault.hpp"
 #include "support/log.hpp"
+#include "support/string_util.hpp"
 
 namespace gmm::service {
 
@@ -76,6 +77,7 @@ SocketEndpoint parse_socket_endpoint(const std::string& spec) {
 
 #include <cerrno>
 #include <cstdio>
+#include <csignal>
 #include <cstring>
 #include <map>
 #include <mutex>
@@ -91,9 +93,48 @@ bool set_nonblocking(int fd) {
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
-/// One connected jsonl client.
-struct Connection {
+/// The length-checked Unix-domain address of `path`; false when the path
+/// does not fit sun_path.
+bool unix_address(const std::string& path, sockaddr_un& addr) {
+  addr = {};
+  addr.sun_family = AF_UNIX;
+  if (path.size() >= sizeof(addr.sun_path)) return false;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  return true;
+}
+
+/// Walk the addresses of host:port, opening a stream socket for each and
+/// handing it to `use(fd, addrinfo)` until that returns true.  Returns
+/// the accepted fd, or -1 when no address worked or, with `resolved` set
+/// to false, when the name did not resolve.
+template <typename Use>
+int open_tcp(const std::string& host, int port, bool& resolved, Use use) {
+  addrinfo hints = {};
+  hints.ai_family = AF_UNSPEC;
+  hints.ai_socktype = SOCK_STREAM;
+  addrinfo* result = nullptr;
+  const std::string port_text = std::to_string(port);
+  resolved = ::getaddrinfo(host.c_str(), port_text.c_str(), &hints,
+                           &result) == 0 &&
+             result != nullptr;
+  if (!resolved) return -1;
   int fd = -1;
+  for (const addrinfo* ai = result; ai != nullptr; ai = ai->ai_next) {
+    fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
+    if (fd < 0) continue;
+    if (use(fd, *ai)) break;
+    ::close(fd);
+    fd = -1;
+  }
+  ::freeaddrinfo(result);
+  return fd;
+}
+
+/// One jsonl client: an accepted socket (read_fd == write_fd), or in pipe
+/// mode the server's own stdin/stdout (two fds).
+struct Connection {
+  int read_fd = -1;
+  int write_fd = -1;
   std::uint64_t id = 0;       // stable key (fds are reused by the kernel)
   LineSplitter in;
   std::string out;            // unflushed response bytes
@@ -108,6 +149,8 @@ struct Connection {
   std::int64_t bytes_in = 0;
   std::int64_t bytes_out = 0;
   std::int64_t shed = 0;
+
+  [[nodiscard]] bool stdio() const { return read_fd != write_fd; }
 };
 
 class SocketServer {
@@ -126,8 +169,11 @@ class SocketServer {
   int bind_and_listen(const SocketEndpoint& endpoint);
   int bind_unix(const std::string& path);
   int bind_tcp(const std::string& host, int port);
+  bool open_stdio();
+  void restore_stdio();
 
   // ---- event-loop steps --------------------------------------------------
+  void add_connection(int read_fd, int write_fd);
   void accept_clients();
   void read_client(Connection& conn);
   void dispatch_buffered_lines();
@@ -135,7 +181,7 @@ class SocketServer {
   void drain_worker_responses();
   void flush(Connection& conn);
   void sweep_closed();
-  void finish_shutdown();
+  void finish();
 
   // ---- response delivery -------------------------------------------------
   void on_response(const Response& response);  // MappingService sink
@@ -144,10 +190,12 @@ class SocketServer {
   void drop(Connection& conn, const char* why);
 
   SocketServerOptions options_;
-  int listen_fd_ = -1;
+  int listen_fd_ = -1;     // -1 in pipe mode
   std::string unix_path_;  // unlinked on exit when non-empty
   int wake_read_ = -1;     // self-pipe: workers nudge the poll loop
   int wake_write_ = -1;
+  int stdio_flags_[2] = {-1, -1};  // fds 0 and 1 as found (pipe mode)
+  int exit_code_ = 0;      // 1 once the stdio connection is dropped
   std::thread::id loop_thread_;
 
   std::map<std::uint64_t, Connection> conns_;
@@ -171,14 +219,12 @@ class SocketServer {
 };
 
 int SocketServer::bind_unix(const std::string& path) {
-  sockaddr_un addr = {};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) {
+  sockaddr_un addr;
+  if (!unix_address(path, addr)) {
     std::fprintf(stderr, "socket path too long (max %zu): %s\n",
                  sizeof(addr.sun_path) - 1, path.c_str());
     return -1;
   }
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (fd < 0) return -1;
   ::unlink(path.c_str());  // a stale socket file from a dead server
@@ -194,31 +240,15 @@ int SocketServer::bind_unix(const std::string& path) {
 }
 
 int SocketServer::bind_tcp(const std::string& host, int port) {
-  addrinfo hints = {};
-  hints.ai_family = AF_UNSPEC;
-  hints.ai_socktype = SOCK_STREAM;
-  addrinfo* result = nullptr;
-  const std::string port_text = std::to_string(port);
-  if (::getaddrinfo(host.c_str(), port_text.c_str(), &hints, &result) != 0 ||
-      result == nullptr) {
-    std::fprintf(stderr, "cannot resolve %s:%d\n", host.c_str(), port);
-    return -1;
-  }
-  int fd = -1;
-  for (const addrinfo* ai = result; ai != nullptr; ai = ai->ai_next) {
-    fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
-    if (fd < 0) continue;
+  bool resolved = false;
+  const int fd = open_tcp(host, port, resolved, [](int s, const addrinfo& ai) {
     const int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    if (::bind(fd, ai->ai_addr, ai->ai_addrlen) == 0 &&
-        ::listen(fd, 64) == 0) {
-      break;
-    }
-    ::close(fd);
-    fd = -1;
-  }
-  ::freeaddrinfo(result);
-  if (fd < 0) {
+    ::setsockopt(s, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    return ::bind(s, ai.ai_addr, ai.ai_addrlen) == 0 && ::listen(s, 64) == 0;
+  });
+  if (!resolved) {
+    std::fprintf(stderr, "cannot resolve %s:%d\n", host.c_str(), port);
+  } else if (fd < 0) {
     std::fprintf(stderr, "cannot listen on %s:%d: %s\n", host.c_str(), port,
                  std::strerror(errno));
   }
@@ -262,43 +292,95 @@ int SocketServer::bind_and_listen(const SocketEndpoint& endpoint) {
   return fd;
 }
 
-int SocketServer::run() {
-  const SocketEndpoint endpoint = parse_socket_endpoint(options_.listen);
-  if (!endpoint.ok) {
-    std::fprintf(stderr, "bad --listen endpoint: %s\n",
-                 endpoint.error.c_str());
-    return 2;
+bool SocketServer::open_stdio() {
+  // The connection gets its own dups, so closing it leaves fds 0 and 1
+  // open.  O_NONBLOCK lands on the open file descriptions, which the
+  // parent shell may share: both are saved before either is changed and
+  // restored on exit.
+  for (const int fd : {0, 1}) {
+    stdio_flags_[fd] = ::fcntl(fd, F_GETFL, 0);
+    if (stdio_flags_[fd] < 0) return false;
   }
-  listen_fd_ = bind_and_listen(endpoint);
-  if (listen_fd_ < 0) return 1;
+  const int read_fd = ::dup(0);
+  const int write_fd = ::dup(1);
+  if (read_fd < 0 || write_fd < 0 || !set_nonblocking(read_fd) ||
+      !set_nonblocking(write_fd)) {
+    if (read_fd >= 0) ::close(read_fd);
+    if (write_fd >= 0) ::close(write_fd);
+    return false;
+  }
+  add_connection(read_fd, write_fd);
+  return true;
+}
+
+void SocketServer::restore_stdio() {
+  for (const int fd : {0, 1}) {
+    if (stdio_flags_[fd] >= 0) ::fcntl(fd, F_SETFL, stdio_flags_[fd]);
+  }
+}
+
+int SocketServer::run() {
+  // A client that stops reading must fail the write (EPIPE, then a drop),
+  // not kill the server with SIGPIPE.
+  ::signal(SIGPIPE, SIG_IGN);
+  if (!options_.listen.empty()) {
+    const SocketEndpoint endpoint = parse_socket_endpoint(options_.listen);
+    if (!endpoint.ok) {
+      std::fprintf(stderr, "bad --listen endpoint: %s\n",
+                   endpoint.error.c_str());
+      return 2;
+    }
+    listen_fd_ = bind_and_listen(endpoint);
+    if (listen_fd_ < 0) return 1;
+  }
   int wake[2] = {-1, -1};
   if (::pipe(wake) != 0 || !set_nonblocking(wake[0]) ||
       !set_nonblocking(wake[1])) {
     std::fprintf(stderr, "cannot create wakeup pipe\n");
-    ::close(listen_fd_);
+    if (listen_fd_ >= 0) ::close(listen_fd_);
     return 1;
   }
   wake_read_ = wake[0];
   wake_write_ = wake[1];
   loop_thread_ = std::this_thread::get_id();
+  if (listen_fd_ < 0 && !open_stdio()) {
+    std::fprintf(stderr, "cannot serve stdin/stdout: %s\n",
+                 std::strerror(errno));
+    exit_code_ = 1;
+  }
 
   std::vector<pollfd> pfds;
   std::vector<std::uint64_t> pfd_conn;  // conn id per pollfd (0 = none)
-  while (!shutting_down_) {
+  // Without a listener the loop ends once the stdio connection is gone:
+  // drained after stdin's EOF, or dropped.
+  while (!shutting_down_ && (listen_fd_ >= 0 || !conns_.empty())) {
     pfds.clear();
     pfd_conn.clear();
     pfds.push_back({wake_read_, POLLIN, 0});
     pfd_conn.push_back(0);
-    if (conns_.size() < options_.max_clients) {
+    if (listen_fd_ >= 0 && conns_.size() < options_.max_clients) {
       pfds.push_back({listen_fd_, POLLIN, 0});
       pfd_conn.push_back(0);
     }
     for (auto& [id, conn] : conns_) {
+      const bool writing = conn.out_offset < conn.out.size();
+      if (conn.stdio()) {
+        // stdout is polled even with nothing to write: a reader that
+        // went away reports POLLERR, and the drop cancels what it asked.
+        if (!conn.read_eof) {
+          pfds.push_back({conn.read_fd, POLLIN, 0});
+          pfd_conn.push_back(id);
+        }
+        const short out_events = writing ? POLLOUT : 0;
+        pfds.push_back({conn.write_fd, out_events, 0});
+        pfd_conn.push_back(id);
+        continue;
+      }
       short events = 0;
       if (!conn.read_eof) events |= POLLIN;
-      if (conn.out_offset < conn.out.size()) events |= POLLOUT;
+      if (writing) events |= POLLOUT;
       if (events == 0) continue;  // half-closed, idle: wake via inflight
-      pfds.push_back({conn.fd, events, 0});
+      pfds.push_back({conn.read_fd, events, 0});
       pfd_conn.push_back(id);
     }
     // Requests can outlast the dispatch budget of one wake (a client
@@ -331,8 +413,22 @@ int SocketServer::run() {
         continue;
       }
       const auto it = conns_.find(pfd_conn[i]);
-      if (it == conns_.end()) continue;
+      if (it == conns_.end() || it->second.dead) continue;
       Connection& conn = it->second;
+      if (conn.stdio()) {
+        // A pipe whose writer closed polls POLLHUP without POLLIN: for
+        // stdin that is read-EOF (drain), so read() decides, never the
+        // socket rule below.  On stdout, anything but POLLOUT means the
+        // reader is gone.
+        if (pfd.fd == conn.read_fd) {
+          read_client(conn);
+        } else if ((pfd.revents & POLLOUT) != 0) {
+          flush(conn);
+        } else {
+          drop(conn, "stdout closed");
+        }
+        continue;
+      }
       if ((pfd.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0 &&
           (pfd.revents & POLLIN) == 0) {
         // Fully torn down (reset / both directions closed) with nothing
@@ -350,12 +446,14 @@ int SocketServer::run() {
     sweep_closed();
   }
 
-  if (shutting_down_) finish_shutdown();
+  finish();
   for (auto& [id, conn] : conns_) {
-    if (conn.fd >= 0) ::close(conn.fd);
+    ::close(conn.read_fd);
+    if (conn.stdio()) ::close(conn.write_fd);
   }
   conns_.clear();
-  ::close(listen_fd_);
+  restore_stdio();
+  if (listen_fd_ >= 0) ::close(listen_fd_);
   ::close(wake_read_);
   ::close(wake_write_);
   if (!unix_path_.empty()) ::unlink(unix_path_.c_str());
@@ -366,9 +464,23 @@ int SocketServer::run() {
                  << ", accepted=" << stats.accepted
                  << ", completed=" << stats.completed
                  << ", rejected=" << stats.rejected
+                 << ", cancelled=" << stats.cancelled
+                 << ", timed_out=" << stats.timed_out
+                 << ", bytes_received=" << transport_.bytes_received
+                 << ", bytes_sent=" << transport_.bytes_sent
                  << ", dropped_responses=" << transport_.responses_dropped
                  << ")";
-  return 0;
+  return exit_code_;
+}
+
+void SocketServer::add_connection(int read_fd, int write_fd) {
+  Connection conn;
+  conn.read_fd = read_fd;
+  conn.write_fd = write_fd;
+  conn.id = next_conn_id_++;
+  ++transport_.connections_opened;
+  GMM_LOG(kInfo) << "socket_server: client #" << conn.id << " connected";
+  conns_.emplace(conn.id, std::move(conn));
 }
 
 void SocketServer::accept_clients() {
@@ -396,12 +508,7 @@ void SocketServer::accept_clients() {
     const int one = 1;
     // Harmless ENOTSUP on unix sockets; a real latency win on TCP.
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    Connection conn;
-    conn.fd = fd;
-    conn.id = next_conn_id_++;
-    ++transport_.connections_opened;
-    GMM_LOG(kInfo) << "socket_server: client #" << conn.id << " connected";
-    conns_.emplace(conn.id, std::move(conn));
+    add_connection(fd, fd);
   }
 }
 
@@ -419,9 +526,9 @@ void SocketServer::read_client(Connection& conn) {
       n = -1;
       errno = ECONNRESET;
     } else if (GMM_FAULT("socket.read", "short")) {
-      n = ::read(conn.fd, chunk, 1);
+      n = ::read(conn.read_fd, chunk, 1);
     } else {
-      n = ::read(conn.fd, chunk, sizeof(chunk));
+      n = ::read(conn.read_fd, chunk, sizeof(chunk));
     }
     if (n > 0) {
       conn.in.feed(chunk, static_cast<std::size_t>(n));
@@ -435,10 +542,11 @@ void SocketServer::read_client(Connection& conn) {
       continue;
     }
     if (n == 0) {
-      // Half-close: the client is done sending (the pipe mode's
-      // write-EOF-then-read idiom).  Keep the connection until its
-      // in-flight requests have answered and the buffer flushed.
+      // Half-close: the client is done sending (the batch-then-EOF
+      // idiom).  Keep the connection until its in-flight requests have
+      // answered and the buffer flushed.
       conn.read_eof = true;
+      conn.in.end_input();
       return;
     }
     if (errno == EINTR) continue;
@@ -497,7 +605,7 @@ void SocketServer::dispatch_buffered_lines() {
 }
 
 void SocketServer::dispatch_line(Connection& conn, const std::string& line) {
-  if (line.find_first_not_of(" \t\r") == std::string::npos) return;
+  if (support::trim(line).empty()) return;
   ++conn.requests;
   ++transport_.requests;
   const Request request = parse_request_line(line);
@@ -539,10 +647,12 @@ void SocketServer::dispatch_line(Connection& conn, const std::string& line) {
   }
   if (request.method == Method::kShutdown) {
     // Stop admitting BEFORE draining (no further lines are dispatched),
-    // then let the service ack through the normal sink path so the
-    // requesting client sees the ack after every terminal response.
+    // route the terminal responses the drain queued, then let the service
+    // ack through the normal sink path so the requesting client sees the
+    // ack after every terminal response.
     shutting_down_ = true;
     service_.drain();
+    drain_worker_responses();
   }
   service_.handle(request);
   current_ = nullptr;
@@ -568,7 +678,11 @@ void SocketServer::on_response(const Response& response) {
       }
     }
     Response annotated = response;
-    if (annotated.has_stats) annotated.stats.transport = transport_;
+    // Only a listening server reports its transport: the pipe mode's
+    // wire stays without the key.
+    if (annotated.has_stats && listen_fd_ >= 0) {
+      annotated.stats.transport = transport_;
+    }
     deliver(*current_, annotated);
     return;
   }
@@ -636,10 +750,10 @@ void SocketServer::flush(Connection& conn) {
       n = -1;
       errno = ECONNRESET;
     } else if (GMM_FAULT("socket.write", "partial")) {
-      n = ::send(conn.fd, conn.out.data() + conn.out_offset, 1, MSG_NOSIGNAL);
+      n = ::write(conn.write_fd, conn.out.data() + conn.out_offset, 1);
     } else {
-      n = ::send(conn.fd, conn.out.data() + conn.out_offset,
-                 conn.out.size() - conn.out_offset, MSG_NOSIGNAL);
+      n = ::write(conn.write_fd, conn.out.data() + conn.out_offset,
+                  conn.out.size() - conn.out_offset);
     }
     if (n > 0) {
       conn.out_offset += static_cast<std::size_t>(n);
@@ -649,7 +763,7 @@ void SocketServer::flush(Connection& conn) {
     }
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-    drop(conn, "write failed");  // EPIPE: the client is gone for real
+    drop(conn, "write failed");  // EPIPE: the reader is gone for real
     return;
   }
   conn.out.clear();
@@ -659,6 +773,7 @@ void SocketServer::flush(Connection& conn) {
 void SocketServer::drop(Connection& conn, const char* why) {
   if (conn.dead) return;
   conn.dead = true;
+  if (conn.stdio()) exit_code_ = 1;
   GMM_LOG(kInfo) << "socket_server: dropping client #" << conn.id << " ("
                  << why << "; requests=" << conn.requests
                  << ", bytes_in=" << conn.bytes_in
@@ -693,7 +808,8 @@ void SocketServer::sweep_closed() {
                      << ", bytes_in=" << conn.bytes_in
                      << ", bytes_out=" << conn.bytes_out
                      << ", shed=" << conn.shed << ")";
-      ::close(conn.fd);
+      ::close(conn.read_fd);
+      if (conn.stdio()) ::close(conn.write_fd);
       ++transport_.connections_closed;
       it = conns_.erase(it);
     } else {
@@ -702,16 +818,20 @@ void SocketServer::sweep_closed() {
   }
 }
 
-void SocketServer::finish_shutdown() {
-  // The service has drained (dispatch_line blocked on it), so every
-  // terminal response is either delivered or queued.  Route the queue,
-  // then give sockets a bounded window to take the remaining bytes.
+void SocketServer::finish() {
+  // However the loop ended, every admitted request finishes before the
+  // wake pipe closes (after a shutdown this is already true; after a
+  // drop, the cancelled solves are still winding down).  Route what they
+  // answered, then give sockets a bounded window to take the remaining
+  // bytes.  stdout gets as long as its reader takes, as blocking writes
+  // did: a reader that leaves fails the write and is dropped.
+  service_.drain();
   drain_worker_responses();
   const int kFlushRounds = 500;  // x 10 ms = 5 s cap
-  for (int round = 0; round < kFlushRounds; ++round) {
+  for (int round = 0;; ++round) {
     bool pending = false;
     for (auto& [id, conn] : conns_) {
-      if (conn.dead) continue;
+      if (conn.dead || (round >= kFlushRounds && !conn.stdio())) continue;
       flush(conn);
       if (conn.out_offset < conn.out.size()) pending = true;
     }
@@ -755,6 +875,15 @@ bool finish_interrupted_connect(int fd, std::string& error) {
   return true;
 }
 
+/// connect(2) with the EINTR finish; `error` describes a failure.
+bool connect_fd(int fd, const sockaddr* addr, socklen_t len,
+                std::string& error) {
+  if (::connect(fd, addr, len) == 0) return true;
+  if (errno == EINTR) return finish_interrupted_connect(fd, error);
+  error = std::strerror(errno);
+  return false;
+}
+
 }  // namespace
 
 int connect_socket_endpoint(const SocketEndpoint& endpoint,
@@ -764,62 +893,36 @@ int connect_socket_endpoint(const SocketEndpoint& endpoint,
     return -1;
   }
   if (endpoint.is_unix) {
-    sockaddr_un addr = {};
-    addr.sun_family = AF_UNIX;
-    if (endpoint.path.size() >= sizeof(addr.sun_path)) {
+    sockaddr_un addr;
+    if (!unix_address(endpoint.path, addr)) {
       error = "socket path too long";
       return -1;
     }
-    std::memcpy(addr.sun_path, endpoint.path.c_str(),
-                endpoint.path.size() + 1);
     const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
     if (fd < 0) {
       error = std::strerror(errno);
       return -1;
     }
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof(addr)) != 0) {
-      const int saved = errno;
-      if (saved == EINTR && finish_interrupted_connect(fd, error)) return fd;
-      if (saved != EINTR) error = std::strerror(saved);
+    if (!connect_fd(fd, reinterpret_cast<const sockaddr*>(&addr),
+                    sizeof(addr), error)) {
       ::close(fd);
       return -1;
     }
     return fd;
   }
-  addrinfo hints = {};
-  hints.ai_family = AF_UNSPEC;
-  hints.ai_socktype = SOCK_STREAM;
-  addrinfo* result = nullptr;
-  const std::string port_text = std::to_string(endpoint.port);
-  if (::getaddrinfo(endpoint.host.c_str(), port_text.c_str(), &hints,
-                    &result) != 0 ||
-      result == nullptr) {
+  bool resolved = false;
+  const int fd = open_tcp(endpoint.host, endpoint.port, resolved,
+                          [&error](int s, const addrinfo& ai) {
+    if (!connect_fd(s, ai.ai_addr, ai.ai_addrlen, error)) return false;
+    const int one = 1;
+    ::setsockopt(s, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    return true;
+  });
+  if (!resolved) {
     error = "cannot resolve host";
-    return -1;
+  } else if (fd < 0 && error.empty()) {
+    error = "no usable address";
   }
-  int fd = -1;
-  for (const addrinfo* ai = result; ai != nullptr; ai = ai->ai_next) {
-    fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);
-    if (fd < 0) continue;
-    bool connected = ::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0;
-    if (!connected) {
-      if (errno == EINTR) {
-        connected = finish_interrupted_connect(fd, error);
-      } else {
-        error = std::strerror(errno);
-      }
-    }
-    if (connected) {
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      break;
-    }
-    ::close(fd);
-    fd = -1;
-  }
-  ::freeaddrinfo(result);
-  if (fd < 0 && error.empty()) error = "no usable address";
   return fd;
 }
 

@@ -1,10 +1,12 @@
-// Multi-client socket front end for the jsonl mapping service.
+// The one transport of the jsonl mapping service.
 //
-// run_socket_server() puts a poll(2)-driven accept loop in front of the
-// same MappingService the stdin/stdout pipe mode uses: Unix-domain
+// run_socket_server() puts a poll(2)-driven event loop in front of a
+// MappingService.  With `--listen` it accepts Unix-domain
 // (`--listen /path/sock`) or TCP (`--listen host:port`) stream sockets,
 // any number of concurrent clients, one jsonl protocol session per
-// connection.  Design:
+// connection.  Without it (pipe mode) the loop has no listener and one
+// connection that reads fd 0 and writes fd 1; it ends once that
+// connection has drained after stdin's EOF, or was dropped.  Design:
 //
 //   * NON-BLOCKING I/O everywhere: per-connection read reassembly
 //     (LineSplitter — jsonl lines arrive split at arbitrary read()
@@ -20,21 +22,23 @@
 //     duplicate on one connection).  Worker responses are handed to the
 //     event loop through a queue + self-pipe wakeup, never written from
 //     a worker thread;
-//   * HALF-CLOSE LINGER: a client may send its batch and shutdown(WR);
-//     the connection stays alive until every in-flight request has
-//     answered, preserving the pipe mode's write-EOF-then-read idiom.
-//     A fully dropped connection (POLLHUP/POLLERR or a failed write)
-//     cancels its in-flight requests and drops their responses
-//     (counted: transport.responses_dropped);
+//   * HALF-CLOSE LINGER: a client may send its batch and shutdown(WR)
+//     (or close stdin); the connection stays alive until every in-flight
+//     request has answered.  A dropped connection (a reset socket, a
+//     stdout whose reader is gone, a failed write, an over-long line or
+//     write backlog) cancels its in-flight requests and drops their
+//     responses (counted: transport.responses_dropped);
 //   * PER-CLIENT ACCOUNTING: requests, bytes in/out, and shed
 //     (admission-rejected) counts per connection, logged at disconnect
-//     and folded into the `stats` response's "transport" object;
+//     and, when listening, folded into the `stats` response's
+//     "transport" object (pipe mode keeps the counters off the wire);
 //   * SHUTDOWN: a "shutdown" request from any client stops accepting,
-//     drains the service, flushes every connection, and exits 0 — the
-//     same drain contract as the pipe mode.
+//     drains the service, flushes every connection, and exits 0.
 //
-// POSIX-only, like ProcessClient; on other platforms run_socket_server
-// returns an error exit code.
+// SIGPIPE is ignored for the run, so a gone reader surfaces as EPIPE.
+// Pipe mode sets O_NONBLOCK on fds 0 and 1 and restores their flags on
+// exit.  POSIX-only, like ProcessClient; on other platforms
+// run_socket_server returns an error exit code.
 #pragma once
 
 #include <cstddef>
@@ -55,6 +59,11 @@ namespace gmm::service {
 class LineSplitter {
  public:
   void feed(const char* data, std::size_t n) { buffer_.append(data, n); }
+
+  /// End of input: a final line that lacks its '\n' still counts.
+  void end_input() {
+    if (!buffer_.empty() && buffer_.back() != '\n') buffer_.push_back('\n');
+  }
 
   /// Next complete line, or nullopt when none is buffered.
   std::optional<std::string> next_line();
@@ -88,7 +97,8 @@ struct SocketEndpoint {
 SocketEndpoint parse_socket_endpoint(const std::string& spec);
 
 struct SocketServerOptions {
-  std::string listen;  // endpoint spec, see parse_socket_endpoint
+  /// Endpoint spec, see parse_socket_endpoint; empty = serve stdin/stdout.
+  std::string listen;
   std::size_t max_clients = 256;
   /// A connection whose unterminated line exceeds this is dropped (a
   /// client streaming garbage without newlines must not grow server
@@ -107,11 +117,14 @@ struct SocketServerOptions {
   std::size_t max_inflight_per_client = 0;
 };
 
-/// Serve until a "shutdown" request; returns a process exit code (0 on a
-/// clean drain).  Prints one `{"event":"listening","endpoint":...}` line
-/// to stdout once the socket is bound — for TCP with port 0 the endpoint
-/// carries the kernel-assigned port, so spawners can connect without
-/// racing the bind.
+/// Serve until a "shutdown" request, or in pipe mode (`listen` empty)
+/// until stdin's EOF has drained; returns a process exit code: 0 on a
+/// clean drain, 1 on a setup failure or when the pipe-mode connection was
+/// dropped, 2 on a bad endpoint.  When listening, prints one
+/// `{"event":"listening","endpoint":...}` line to stdout once the socket
+/// is bound — for TCP with port 0 the endpoint carries the
+/// kernel-assigned port, so spawners can connect without racing the
+/// bind.
 int run_socket_server(const SocketServerOptions& socket_options,
                       std::vector<arch::Board> boards,
                       const ServiceOptions& service_options);
@@ -125,8 +138,8 @@ int connect_socket_endpoint(const SocketEndpoint& endpoint,
 
 /// `mapper_serve --connect <spec>`: bridge stdin/stdout jsonl onto a
 /// server socket — stdin EOF half-closes the socket (shutdown(WR)) and
-/// the bridge keeps relaying responses until the server closes, exactly
-/// the pipe mode's batch-then-read idiom over a socket.
+/// the bridge keeps relaying responses until the server closes: the
+/// batch-then-EOF idiom over a socket.
 int run_socket_client(const std::string& spec);
 
 }  // namespace gmm::service

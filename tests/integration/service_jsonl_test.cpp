@@ -10,12 +10,27 @@
 //   * a deadline-limited request that must come back "timeout",
 //   * a cancelled request that must come back "cancelled",
 //   * a graceful shutdown (ack, clean exit code, no hang).
+//
+// Further sessions pin what pipe mode shares with the socket transport:
+// a stdout whose reader goes away cancels the running solve and ends the
+// server, and the socket.read/socket.write fault points fire on stdio.
 #include <gtest/gtest.h>
 
+#ifndef _WIN32
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <csignal>
+#endif
+
+#include <algorithm>
+#include <chrono>
 #include <fstream>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "arch/arch_io.hpp"
@@ -285,6 +300,161 @@ TEST(ServiceJsonl, MalformedLinesGetErrorResponsesAndEofDrains) {
   client.close_stdin();  // EOF must drain and exit cleanly
   EXPECT_EQ(client.wait_exit(30.0), 0);
 }
+
+#ifndef _WIN32
+
+/// A map request for client_design(i) on the inline small board.
+std::string map_line(const std::string& id, int i) {
+  JsonObject request;
+  request["id"] = id;
+  request["method"] = std::string("map");
+  request["board_text"] = arch::board_to_string(small_board());
+  request["design_text"] = design::design_to_string(client_design(i));
+  request["threads"] = 1;
+  return Json(std::move(request)).dump();
+}
+
+bool write_all(int fd, const std::string& line) {
+  const std::string data = line + "\n";
+  std::size_t written = 0;
+  while (written < data.size()) {
+    const ssize_t n =
+        ::write(fd, data.data() + written, data.size() - written);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    written += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+TEST(ServiceJsonl, ClosedStdoutCancelsTheSolveAndExits) {
+  if (std::string(GMM_MAPPER_SERVE_PATH).empty()) {
+    GTEST_SKIP() << "mapper_serve path not configured";
+  }
+  // A raw fork rather than ProcessClient: the test closes the read end of
+  // the server's stdout, and the child starts with SIGPIPE at its default
+  // so the server has to survive a gone reader on its own.
+  ::signal(SIGPIPE, SIG_IGN);  // our own writes to a dead child fail
+  int in_pipe[2];
+  int out_pipe[2];
+  ASSERT_EQ(::pipe(in_pipe), 0);
+  ASSERT_EQ(::pipe(out_pipe), 0);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::dup2(in_pipe[0], STDIN_FILENO);
+    ::dup2(out_pipe[1], STDOUT_FILENO);
+    for (const int fd : {in_pipe[0], in_pipe[1], out_pipe[0], out_pipe[1]}) {
+      ::close(fd);
+    }
+    ::signal(SIGPIPE, SIG_DFL);
+    // The injected stall holds the solve until something cancels it.
+    ::execl(GMM_MAPPER_SERVE_PATH, GMM_MAPPER_SERVE_PATH, "--faults",
+            "ilp.node:stall@once", static_cast<char*>(nullptr));
+    ::_exit(127);
+  }
+  ::close(in_pipe[0]);
+  ::close(out_pipe[1]);
+
+  ASSERT_TRUE(write_all(in_pipe[1], map_line("stalled", 0)));
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));  // solving
+  ::close(out_pipe[0]);  // the consumer goes away; stdin stays open
+  // The server may notice the closed stdout before this write lands, and
+  // be gone already: the ping's answer is what must not be needed.
+  write_all(in_pipe[1], R"({"id":"p","method":"ping"})");
+
+  // The drop must cancel the solve, which never ends otherwise.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  int status = 0;
+  pid_t done = 0;
+  while ((done = ::waitpid(pid, &status, WNOHANG)) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (done == 0) {
+    ::kill(pid, SIGKILL);
+    ::waitpid(pid, &status, 0);
+  }
+  ::close(in_pipe[1]);
+  ASSERT_EQ(done, pid) << "server still running 5 s after its stdout closed";
+  ASSERT_TRUE(WIFEXITED(status))
+      << "server killed by signal " << WTERMSIG(status);
+  EXPECT_EQ(WEXITSTATUS(status), 1);  // mapper_serve: connection dropped
+}
+
+/// One pipe-mode session: send `lines`, close stdin, read every response
+/// until EOF.  Returns the responses in wire order with "seconds"
+/// stripped; `exit_code` gets the server's exit status.
+std::vector<std::string> pipe_session(const std::vector<std::string>& args,
+                                      const std::vector<std::string>& lines,
+                                      int& exit_code) {
+  std::vector<std::string> responses;
+  ProcessClient client;
+  if (!client.start(GMM_MAPPER_SERVE_PATH, args)) {
+    ADD_FAILURE() << "cannot spawn mapper_serve";
+    return responses;
+  }
+  for (const std::string& line : lines) {
+    if (!client.send_line(line)) break;  // the server may have dropped us
+  }
+  client.close_stdin();
+  while (const auto line = client.read_line(kReadTimeout)) {
+    JsonParseResult parsed = parse_json(*line);
+    EXPECT_TRUE(parsed.ok && parsed.value.is_object()) << *line;
+    if (!parsed.ok || !parsed.value.is_object()) continue;
+    parsed.value.as_object().erase("seconds");
+    responses.push_back(parsed.value.dump());
+  }
+  exit_code = client.wait_exit(30.0);
+  return responses;
+}
+
+TEST(ServiceJsonl, SocketFaultPointsFireInPipeMode) {
+  if (std::string(GMM_MAPPER_SERVE_PATH).empty()) {
+    GTEST_SKIP() << "mapper_serve path not configured";
+  }
+  std::vector<std::string> lines = {R"({"id":"p","method":"ping"})"};
+  for (int i = 0; i < 4; ++i) {
+    lines.push_back(map_line("m" + std::to_string(i), i));
+  }
+  lines.emplace_back("this is not json");
+  lines.emplace_back(R"({"id":"x","method":"teleport"})");
+  lines.emplace_back(R"({"id":"c","method":"cancel","target":"nobody"})");
+  lines.emplace_back(R"({"method":"shutdown"})");
+
+  // Short reads and partial writes only re-frame the bytes: the session
+  // answers exactly as an unarmed one does, sorted by id, and the
+  // shutdown ack still comes after every map's terminal response.
+  int clean_exit = -1;
+  std::vector<std::string> clean = pipe_session({}, lines, clean_exit);
+  EXPECT_EQ(clean_exit, 0);
+  ASSERT_EQ(clean.size(), lines.size());
+  EXPECT_EQ(clean.back(), R"({"method":"shutdown","status":"ok"})");
+  int faulted_exit = -1;
+  std::vector<std::string> faulted = pipe_session(
+      {"--faults", "seed=7,socket.read:short@0.5,socket.write:partial@0.5"},
+      lines, faulted_exit);
+  EXPECT_EQ(faulted_exit, 0);
+  ASSERT_FALSE(faulted.empty());
+  EXPECT_EQ(faulted.back(), clean.back());
+  std::sort(clean.begin(), clean.end());
+  std::sort(faulted.begin(), faulted.end());
+  EXPECT_EQ(faulted, clean);
+
+  // The points do fire on stdin and stdout: an injected reset on either
+  // side drops the connection before anything is answered.
+  for (const char* spec :
+       {"socket.read:econnreset@once", "socket.write:econnreset@once"}) {
+    int reset_exit = -1;
+    const std::vector<std::string> reset =
+        pipe_session({"--faults", spec}, {lines.front()}, reset_exit);
+    EXPECT_TRUE(reset.empty()) << spec;
+    EXPECT_EQ(reset_exit, 1) << spec;
+  }
+}
+
+#endif  // _WIN32
 
 }  // namespace
 }  // namespace gmm::service

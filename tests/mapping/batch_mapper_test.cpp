@@ -1,7 +1,7 @@
-// Batched mapping driver: N independent designs over one shared pool
-// must produce exactly the per-design pipeline results, in order.
-#include "mapping/batch_mapper.hpp"
-
+// Batched mapping: N independent designs fanned out over one shared pool
+// with support::parallel_for + map_pipeline (the shape of mapper_cli's
+// batch mode and map_sharded's candidate fan-out) must produce exactly
+// the per-design pipeline results, in order.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,6 +9,7 @@
 
 #include "mapping/pipeline.hpp"
 #include "mapping/validate.hpp"
+#include "support/thread_pool.hpp"
 #include "workload/workload_gen.hpp"
 
 namespace gmm::mapping {
@@ -25,31 +26,36 @@ std::vector<design::Design> corpus(const arch::Board& board, int count) {
   return designs;
 }
 
+std::vector<Outcome> map_all(support::ThreadPool& pool,
+                             const std::vector<design::Design>& designs,
+                             const arch::Board& board) {
+  std::vector<Outcome> results(designs.size());
+  support::parallel_for(pool, designs.size(), [&](std::size_t i) {
+    results[i] = map_pipeline(designs[i], board);
+  });
+  return results;
+}
+
 TEST(BatchMapper, MatchesSerialPipelinePerItem) {
   const auto board =
       workload::board_from_totals({.banks = 16, .ports = 24, .configs = 50});
   ASSERT_TRUE(board.has_value());
   const std::vector<design::Design> designs = corpus(*board, 6);
 
-  std::vector<BatchItem> items;
-  for (const design::Design& d : designs) {
-    items.push_back({.design = &d, .board = &*board});
-  }
-  const BatchResult batch = map_batch(items, PipelineOptions{}, 4);
-  ASSERT_EQ(batch.results.size(), designs.size());
-  EXPECT_TRUE(batch.all_succeeded());
+  support::ThreadPool pool(4);
+  const std::vector<Outcome> batch = map_all(pool, designs, *board);
+  ASSERT_EQ(batch.size(), designs.size());
 
   for (std::size_t i = 0; i < designs.size(); ++i) {
+    EXPECT_TRUE(batch[i].mapped()) << "item " << i;
     const Outcome serial = map_pipeline(designs[i], *board);
-    ASSERT_EQ(batch.results[i].status, serial.status) << "item " << i;
-    EXPECT_NEAR(batch.results[i].assignment.objective,
-                serial.assignment.objective,
+    ASSERT_EQ(batch[i].status, serial.status) << "item " << i;
+    EXPECT_NEAR(batch[i].assignment.objective, serial.assignment.objective,
                 1e-6 * std::max(1.0, std::abs(serial.assignment.objective)))
         << "item " << i;
     // Every batched mapping must be legal against its own design.
-    EXPECT_TRUE(validate_mapping(designs[i], *board,
-                                 batch.results[i].assignment,
-                                 batch.results[i].detailed)
+    EXPECT_TRUE(validate_mapping(designs[i], *board, batch[i].assignment,
+                                 batch[i].detailed)
                     .empty())
         << "item " << i;
   }
@@ -60,28 +66,16 @@ TEST(BatchMapper, SharedExternalPoolAcrossBatches) {
       workload::board_from_totals({.banks = 16, .ports = 24, .configs = 50});
   ASSERT_TRUE(board.has_value());
   const std::vector<design::Design> designs = corpus(*board, 4);
-  std::vector<BatchItem> items;
-  for (const design::Design& d : designs) {
-    items.push_back({.design = &d, .board = &*board});
-  }
   // One pool, two waves — the serving pattern (pool outlives batches).
   support::ThreadPool pool(3);
-  const BatchResult first = map_batch(pool, items);
-  const BatchResult second = map_batch(pool, items);
-  ASSERT_EQ(first.results.size(), second.results.size());
-  EXPECT_TRUE(first.all_succeeded());
-  for (std::size_t i = 0; i < first.results.size(); ++i) {
-    EXPECT_EQ(first.results[i].status, second.results[i].status);
-    EXPECT_EQ(first.results[i].assignment.objective,
-              second.results[i].assignment.objective);
+  const std::vector<Outcome> first = map_all(pool, designs, *board);
+  const std::vector<Outcome> second = map_all(pool, designs, *board);
+  ASSERT_EQ(first.size(), second.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    EXPECT_TRUE(first[i].mapped()) << "item " << i;
+    EXPECT_EQ(first[i].status, second[i].status);
+    EXPECT_EQ(first[i].assignment.objective, second[i].assignment.objective);
   }
-}
-
-TEST(BatchMapper, EmptyBatch) {
-  const BatchResult batch = map_batch({}, PipelineOptions{}, 2);
-  EXPECT_TRUE(batch.results.empty());
-  EXPECT_TRUE(batch.all_succeeded());
-  EXPECT_EQ(batch.succeeded, 0u);
 }
 
 }  // namespace

@@ -84,6 +84,15 @@ TEST(Framing, HandlesPartialTailAndCrLf) {
   splitter.feed("ma\n", 3);
   ASSERT_TRUE(splitter.has_line());
   EXPECT_EQ(*splitter.next_line(), "gamma");
+  // End of input completes a final line that lacks its newline, and
+  // adds no empty line when nothing is buffered.
+  splitter.feed("delta", 5);
+  EXPECT_FALSE(splitter.has_line());
+  splitter.end_input();
+  ASSERT_TRUE(splitter.has_line());
+  EXPECT_EQ(*splitter.next_line(), "delta");
+  splitter.end_input();
+  EXPECT_FALSE(splitter.has_line());
 }
 
 TEST(Framing, ByteByByteFeedMatchesWholeFeed) {

@@ -6,8 +6,8 @@
 //   * every admitted request terminates with exactly one definite status
 //     (no lost, duplicated, or indefinite responses),
 //   * the service drains (no hang, no stuck worker),
-//   * map_batch returns a definite per-item status even when its shared
-//     token fires mid-batch,
+//   * a parallel_for batch of map_pipeline runs returns a definite
+//     per-item status even when its shared token fires mid-batch,
 //
 // all under ASan+UBSan leak checking in CI.  Schedules are randomized
 // but the SEEDS are fixed, so a failure reproduces.
@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "design/design_io.hpp"
-#include "mapping/batch_mapper.hpp"
+#include "mapping/pipeline.hpp"
 #include "service/mapping_service.hpp"
 #include "support/cancellation.hpp"
 #include "support/rng.hpp"
@@ -157,6 +157,18 @@ TEST(ServiceStress, RepeatedDrainCyclesStayClean) {
   }
 }
 
+/// Map every design over `pool` (one map_pipeline per design), blocking
+/// until the batch completes.
+std::vector<mapping::Outcome> map_all(
+    support::ThreadPool& pool, const std::vector<design::Design>& designs,
+    const arch::Board& board, const mapping::PipelineOptions& options) {
+  std::vector<mapping::Outcome> results(designs.size());
+  support::parallel_for(pool, designs.size(), [&](std::size_t i) {
+    results[i] = mapping::map_pipeline(designs[i], board, options);
+  });
+  return results;
+}
+
 TEST(ServiceStress, MapBatchWithMidBatchCancellation) {
   // The batch driver under the same token plumbing: a shared token fires
   // while the pool is mid-batch.  Every item must come back with a
@@ -171,11 +183,6 @@ TEST(ServiceStress, MapBatchWithMidBatchCancellation) {
       gen.seed = rng.next_u64();
       designs.push_back(workload::generate_design(board, gen));
     }
-    std::vector<mapping::BatchItem> items;
-    for (const design::Design& d : designs) {
-      items.push_back({.design = &d, .board = &board});
-    }
-
     auto token = std::make_shared<support::CancelToken>();
     mapping::PipelineOptions options;
     options.global.mip.cancel_token = token;
@@ -186,12 +193,12 @@ TEST(ServiceStress, MapBatchWithMidBatchCancellation) {
           std::chrono::milliseconds(2 * static_cast<long>(seed)));
       token->cancel();
     });
-    const mapping::BatchResult batch =
-        mapping::map_batch(pool, items, options);
+    const std::vector<mapping::Outcome> batch =
+        map_all(pool, designs, board, options);
     canceller.join();
 
-    ASSERT_EQ(batch.results.size(), items.size());
-    for (const mapping::Outcome& r : batch.results) {
+    ASSERT_EQ(batch.size(), designs.size());
+    for (const mapping::Outcome& r : batch) {
       EXPECT_TRUE(r.status == lp::SolveStatus::kOptimal ||
                   r.status == lp::SolveStatus::kFeasible ||
                   r.status == lp::SolveStatus::kCancelled)
@@ -212,17 +219,15 @@ TEST(ServiceStress, MapBatchWithSharedDeadline) {
     gen.seed = rng.next_u64();
     designs.push_back(workload::generate_design(board, gen));
   }
-  std::vector<mapping::BatchItem> items;
-  for (const design::Design& d : designs) {
-    items.push_back({.design = &d, .board = &board});
-  }
   auto token = std::make_shared<support::CancelToken>();
   token->set_deadline_after_seconds(0.005);
   mapping::PipelineOptions options;
   options.global.mip.cancel_token = token;
-  const mapping::BatchResult batch = mapping::map_batch(items, options, 2);
-  ASSERT_EQ(batch.results.size(), items.size());
-  for (const mapping::Outcome& r : batch.results) {
+  support::ThreadPool pool(2);
+  const std::vector<mapping::Outcome> batch =
+      map_all(pool, designs, board, options);
+  ASSERT_EQ(batch.size(), designs.size());
+  for (const mapping::Outcome& r : batch) {
     EXPECT_TRUE(r.status == lp::SolveStatus::kOptimal ||
                 r.status == lp::SolveStatus::kFeasible ||
                 r.status == lp::SolveStatus::kTimeLimit)
